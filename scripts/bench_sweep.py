@@ -1,11 +1,9 @@
 """Benchmark the full catalog sweep across every execution strategy.
 
 Times the complete POWER7 (28 workloads x SMT1/2/4) plus Nehalem
-(22 workloads x SMT1/2) sweeps through five paths:
+(22 workloads x SMT1/2) sweeps through four paths:
 
 * ``scalar``    — the reference engine, one ``simulate_run`` per spec;
-* ``batched``   — ``run_catalog(strategy="batched")``, the legacy
-  vectorized engine, cache disabled (cold);
 * ``columnar``  — ``run_catalog(strategy="columnar")``: the whole sweep
   lowered into one ``ScenarioTable`` per architecture, cache disabled;
 * ``surrogate`` — ``run_catalog(strategy="surrogate")``: the calibrated
@@ -110,9 +108,6 @@ def main(argv=None):
     scalar_s = timed(lambda: run_strategy("serial"), args.repeats)
     report("scalar engine:", scalar_s)
 
-    batched_s = timed(lambda: run_strategy("batched"), args.repeats)
-    report("batched engine (cold):", batched_s, scalar_s)
-
     columnar_s = timed(lambda: run_strategy("columnar"), args.repeats)
     report("columnar table (cold):", columnar_s, scalar_s)
 
@@ -162,10 +157,9 @@ def main(argv=None):
 
     seconds = {
         "scalar": scalar_s,
-        "batched_cold": batched_s,
         "columnar_cold": columnar_s,
         "surrogate": surrogate_s,
-        "batched_cache_fill": populate_s,
+        "columnar_cache_fill": populate_s,
         "warm_cache": warm_s,
     }
     payload = {
@@ -174,7 +168,6 @@ def main(argv=None):
         "seconds": seconds,
         "per_run_seconds": {k: v / n_runs for k, v in seconds.items()},
         "speedup": {
-            "batched_vs_scalar": scalar_s / batched_s,
             "columnar_vs_scalar": scalar_s / columnar_s,
             "surrogate_vs_scalar": scalar_s / surrogate_s,
             "warm_cache_vs_scalar": scalar_s / warm_s,

@@ -3,8 +3,7 @@
 Every public symbol re-exported in ``repro/__init__.py`` (and, since
 the observability and robustness PRs, in ``repro/obs/__init__.py`` and
 ``repro/faults/__init__.py``) must be mentioned in ``docs/api.md`` — otherwise the API page silently drifts from the
-code, which is exactly how the batched-engine symbols went
-undocumented for a whole PR.
+code.
 
 Run standalone (exit code 1 lists the missing symbols)::
 

@@ -34,7 +34,7 @@ from repro.api import (
 from repro.arch import generic_core, get_architecture, nehalem, power7
 from repro.core import SmtPredictor, smtsm, smtsm_from_run
 from repro.obs import configure_telemetry, get_tracer
-from repro.sim.engine import RunSpec, simulate_many, simulate_run
+from repro.sim.engine import RunSpec, simulate_run
 from repro.sim.results import speedup
 from repro.simos import SystemSpec
 from repro.workloads import all_workloads, get_workload
@@ -61,7 +61,6 @@ __all__ = [
     "smtsm_from_run",
     "RunSpec",
     "simulate_run",
-    "simulate_many",
     "speedup",
     "SystemSpec",
     "all_workloads",

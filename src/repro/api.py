@@ -341,18 +341,21 @@ class Session:
         names: Optional[Sequence[str]] = None,
         levels: Optional[Sequence[int]] = None,
         *,
-        strategy: str = "batched",
-        jobs: Optional[int] = None,
+        strategy: Optional[str] = None,
     ) -> CatalogRuns:
-        """Run a catalog slice (all workloads by default) on this system."""
+        """Run a catalog slice (all workloads by default) on this system.
+
+        ``strategy=None`` means :func:`run_catalog`'s default.
+        """
         catalog = None
         if names is not None:
             specs = all_workloads()
             catalog = {name: specs[name] for name in names}
+        options = {} if strategy is None else {"strategy": strategy}
         return run_catalog(
             self.system, catalog, levels,
-            strategy=strategy, jobs=jobs, seed=self.seed, work=self.work,
-            cache=self._cache, use_cache=self.use_cache,
+            seed=self.seed, work=self.work,
+            cache=self._cache, use_cache=self.use_cache, **options,
         )
 
     def sweep_summary(
@@ -360,7 +363,7 @@ class Session:
         names: Optional[Sequence[str]] = None,
         levels: Optional[Sequence[int]] = None,
         *,
-        strategy: str = "batched",
+        strategy: Optional[str] = None,
     ) -> Dict[str, Any]:
         """A :meth:`sweep` rendered as one plain-JSON dict (the wire format)."""
         runs = self.sweep(names, levels, strategy=strategy)
@@ -466,13 +469,12 @@ def sweep(
     names: Optional[Sequence[str]] = None,
     levels: Optional[Sequence[int]] = None,
     *,
-    strategy: str = "batched",
-    jobs: Optional[int] = None,
+    strategy: Optional[str] = None,
     **session_kwargs,
 ) -> CatalogRuns:
     """Module-level :meth:`Session.sweep` on a shared session."""
     return get_session(arch, **session_kwargs).sweep(
-        names, levels, strategy=strategy, jobs=jobs
+        names, levels, strategy=strategy
     )
 
 
@@ -481,7 +483,7 @@ def sweep_summary(
     names: Optional[Sequence[str]] = None,
     levels: Optional[Sequence[int]] = None,
     *,
-    strategy: str = "batched",
+    strategy: Optional[str] = None,
     **session_kwargs,
 ) -> Dict[str, Any]:
     """Module-level :meth:`Session.sweep_summary` on a shared session."""

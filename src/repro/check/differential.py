@@ -1,18 +1,18 @@
 """Differential testing: every fast path must match the reference path.
 
 The repository keeps several ways to execute a sweep
-(``run_catalog(strategy="columnar"|"surrogate"|"batched"|"serial"|
-"parallel")``), a persistent run cache, and a batched prediction
-facade — the exact paths are documented as "semantically equivalent to
-floating-point round-off" and the surrogate as "within its calibrated
-error bound or not at all".  This pillar *executes* those claims
-McKeeman-style: run identical scenario sets down every path, compare
-field by field at :data:`REL_TOL` (exact paths) or
-:data:`SURROGATE_REL_TOL` (surrogate-accepted rows), and when a
-divergence appears, shrink the batch with a ddmin-style minimizer so
-the report carries the smallest scenario set that still reproduces it
-(batched solvers can diverge only in the *company* of other scenarios —
-the lockstep bisection couples their trajectories).
+(``run_catalog(strategy="columnar"|"surrogate"|"serial")``), a
+persistent run cache, and a batched prediction facade — the columnar
+engine is documented as "semantically equivalent to floating-point
+round-off" and the surrogate as "within its calibrated error bound or
+not at all".  This pillar *executes* those claims McKeeman-style: run
+identical scenario sets down every path, compare field by field at
+:data:`REL_TOL` (exact paths) or :data:`SURROGATE_REL_TOL`
+(surrogate-accepted rows), and when a divergence appears, shrink the
+batch with a ddmin-style minimizer so the report carries the smallest
+scenario set that still reproduces it (a columnar table can diverge
+only in the *company* of other scenarios — the lockstep bisection
+couples their trajectories).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from repro.check.report import PillarReport, Violation
 from repro.experiments.runner import resolve_system
 from repro.obs import get_tracer
-from repro.sim.engine import DEFAULT_WORK, RunSpec, simulate_many, simulate_run
+from repro.sim.engine import DEFAULT_WORK, RunSpec, simulate_run
 from repro.sim.results import RunResult
 from repro.sim.runcache import RunCache
 
@@ -153,15 +153,11 @@ def run_differential_checks(
     seed: int = 11,
     work: float = DEFAULT_WORK,
     rel_tol: float = REL_TOL,
-    include_parallel: bool = True,
-    simulate_batch: Optional[Callable[[Sequence[RunSpec]], List[RunResult]]] = None,
 ) -> PillarReport:
     """Run the scenario set down every path and compare to the reference.
 
     Paths exercised against the serial ``simulate_run`` reference:
 
-    * the vectorized batch engine (``simulate_many``) — with ddmin
-      batch minimization on divergence;
     * the columnar :class:`~repro.sim.table.ScenarioTable` engine
       (``simulate_many_columnar``) — with ddmin batch minimization on
       divergence;
@@ -170,51 +166,21 @@ def run_differential_checks(
       :data:`SURROGATE_REL_TOL`, fallback rows to ``rel_tol``, and the
       surrogate must accept at least one scenario of the set (a model
       that always falls back silently loses the fast path);
-    * the multiprocessing parallel runner (skipped when the platform
-      cannot fork a pool; its in-process fallback is then already the
-      reference path);
     * a cold-vs-warm run-cache round trip (persisted payloads must
       reconstruct the result exactly);
     * ``Session.predict`` vs ``Session.predict_many`` over the same
       queries.
-
-    ``simulate_batch`` overrides the batched path (test seam: the
-    injected-divergence acceptance test wraps ``simulate_many``).
     """
     system = resolve_system(arch)
     if levels is None:
         levels = tuple(system.arch.smt_levels)
     labels, specs = _build_specs(system, workloads, levels, seed, work)
-    batch_fn = simulate_batch or simulate_many
     violations: List[Violation] = []
     checks_run = 0
     tracer = get_tracer()
 
     with tracer.span("check.differential", scenarios=len(specs)):
         reference = [simulate_run(spec) for spec in specs]
-
-        # -- batched vs serial ------------------------------------------
-        batched = batch_fn(specs)
-        divergent: List[int] = []
-        for i, (ref, got) in enumerate(zip(reference, batched)):
-            checks_run += 1
-            diffs = compare_runs(ref, got, rel_tol)
-            if diffs:
-                divergent.append(i)
-                field, err = max(diffs, key=lambda d: d[1])
-                violations.append(Violation(
-                    pillar="differential", check="batched_vs_serial",
-                    subject=labels[i],
-                    message=(f"batched strategy diverges from the serial "
-                             f"reference on {field} (rel {err:.3e})"),
-                    details={
-                        "field": field, "rel_error": err, "rel_tol": rel_tol,
-                        "all_fields": dict(diffs),
-                        "minimized_scenarios": _minimize_batch(
-                            specs, labels, reference, batch_fn, rel_tol, i
-                        ),
-                    },
-                ))
 
         # -- columnar table vs serial -----------------------------------
         from repro.sim.table import simulate_many_columnar
@@ -273,26 +239,6 @@ def run_differential_checks(
                              "all_fields": dict(diffs),
                              "minimized_scenarios": [labels[i]]},
                 ))
-
-        # -- parallel vs serial -----------------------------------------
-        if include_parallel:
-            from repro.experiments.runner import _simulate_parallel
-
-            parallel = _simulate_parallel(specs, jobs=2)
-            for i, (ref, got) in enumerate(zip(reference, parallel)):
-                checks_run += 1
-                diffs = compare_runs(ref, got, rel_tol)
-                if diffs:
-                    field, err = max(diffs, key=lambda d: d[1])
-                    violations.append(Violation(
-                        pillar="differential", check="parallel_vs_serial",
-                        subject=labels[i],
-                        message=(f"parallel strategy diverges from the serial "
-                                 f"reference on {field} (rel {err:.3e})"),
-                        details={"field": field, "rel_error": err,
-                                 "rel_tol": rel_tol,
-                                 "minimized_scenarios": [labels[i]]},
-                    ))
 
         # -- cold vs warm run cache -------------------------------------
         with tempfile.TemporaryDirectory(prefix="repro-check-cache-") as tmp:
@@ -355,8 +301,7 @@ def run_differential_checks(
         violations=tuple(violations),
         stats={"scenarios": list(labels), "rel_tol": rel_tol,
                "surrogate_rel_tol": SURROGATE_REL_TOL,
-               "surrogate_accepted": int(sum(accepted)),
-               "parallel_included": include_parallel},
+               "surrogate_accepted": int(sum(accepted))},
     )
 
 
@@ -466,7 +411,7 @@ def _minimize_batch(
     rel_tol: float,
     target: int,
 ) -> List[str]:
-    """Smallest scenario subset whose *batched* solve still diverges.
+    """Smallest scenario subset whose batch solve still diverges.
 
     The subset must keep reproducing a divergence on at least one of
     its members (not necessarily ``target``: the minimizer follows the

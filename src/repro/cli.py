@@ -113,15 +113,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         span.set(cache_hits=len(run_specs) - len(missing),
                  cache_misses=len(missing))
         if missing:
-            todo = [run_specs[i] for i in missing]
-            if args.jobs and args.jobs > 1:
-                from repro.experiments.runner import _simulate_parallel
+            from repro.sim.table import simulate_many_columnar
 
-                fresh = _simulate_parallel(todo, args.jobs)
-            else:
-                from repro.sim.table import simulate_many_columnar
-
-                fresh = simulate_many_columnar(todo)
+            fresh = simulate_many_columnar([run_specs[i] for i in missing])
             for i, result in zip(missing, fresh):
                 results[i] = result
                 if cache is not None:
@@ -370,7 +364,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         arch=args.arch,
         seed=args.seed,
         figures=args.figures,
-        include_parallel=not args.no_parallel,
         fuzz_cases=args.fuzz_cases,
         fuzz_seed=args.fuzz_seed,
     )
@@ -461,11 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="reuse/store converged runs under results/.runcache/ "
         "(default: on unless REPRO_RUNCACHE=0)",
-    )
-    p.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="simulate cache misses across N worker processes instead of "
-        "the vectorized batch path",
     )
     p.add_argument(
         "--telemetry", nargs="?", const=True, default=None, metavar="PATH",
@@ -593,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--invariants", action="store_true",
                    help="simulator physics invariants over a catalog sweep")
     p.add_argument("--differential", action="store_true",
-                   help="serial vs batched/parallel/cache/predict_many")
+                   help="serial vs columnar/surrogate/cache/predict_many")
     p.add_argument("--goldens", action="store_true",
                    help="compare figure summaries to tests/goldens/")
     p.add_argument("--fuzz", action="store_true",
@@ -602,8 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=11)
     p.add_argument("--figures", nargs="+", default=None, metavar="FIG",
                    help="golden subset, e.g. fig06 fig16 (default: all)")
-    p.add_argument("--no-parallel", action="store_true",
-                   help="skip the fork-pool path in the differential pillar")
     p.add_argument("--fuzz-cases", type=int, default=500, metavar="N",
                    help="malformed/valid frames to fire at the server")
     p.add_argument("--fuzz-seed", type=int, default=1207)

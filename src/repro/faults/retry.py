@@ -1,10 +1,8 @@
-"""Generic bounded-retry policy shared by the recovery paths.
+"""Generic bounded-retry policy for worker dispatch.
 
-:class:`RetryPolicy` started life inside the resilient parallel sweep
-runner (``repro.experiments.runner``); the prediction service
-(``repro.serve``) reuses the same knobs for its worker dispatch, so the
-policy now lives with the rest of the fault machinery.  The runner
-re-exports it for backward compatibility.
+The prediction service (``repro.serve``) configures its worker dispatch
+with :class:`RetryPolicy`; it lives with the rest of the fault
+machinery.
 """
 
 from __future__ import annotations
@@ -23,8 +21,7 @@ class RetryPolicy:
     forever pending) is detected through it.  Failed attempts are
     retried up to ``max_retries`` times with exponential backoff
     (``backoff_s * backoff_mult**attempt``); what happens when a task
-    exhausts its retries is the caller's decision — the sweep runner
-    falls back to authoritative in-process execution, the prediction
+    exhausts its retries is the caller's decision — the prediction
     service fails the affected requests with a retryable error.
     """
 

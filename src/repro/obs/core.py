@@ -1,6 +1,6 @@
 """In-process telemetry registry: nested timing spans, counters, gauges.
 
-The sweep engine's hot paths (batched chip solves, the spin/lock fixed
+The sweep engine's hot paths (chip solves, the spin/lock fixed
 point, the run cache) report what they are doing through one process-wide
 :class:`Tracer`.  Three design rules keep it safe to leave in place:
 

@@ -192,10 +192,15 @@ class ServeClient:
     def sweep(self, *, arch: str = "p7", n_chips: Optional[int] = None,
               workloads: Optional[Sequence[str]] = None,
               levels: Optional[Sequence[int]] = None,
-              strategy: str = "batched",
+              strategy: Optional[str] = None,
               deadline_ms: Optional[float] = None) -> Dict[str, Any]:
-        """Run a catalog slice; returns the sweep summary dict."""
-        params: Dict[str, Any] = {"arch": arch, "strategy": strategy}
+        """Run a catalog slice; returns the sweep summary dict.
+
+        Without ``strategy`` the server uses ``run_catalog``'s default.
+        """
+        params: Dict[str, Any] = {"arch": arch}
+        if strategy is not None:
+            params["strategy"] = strategy
         if n_chips is not None:
             params["n_chips"] = n_chips
         if workloads is not None:

@@ -12,28 +12,21 @@ Two engines share one semantic model of an out-of-order SMT core:
 
 Chip-level composition (shared L3, DRAM bandwidth, NUMA) lives in
 :mod:`repro.sim.chip`; the full-system run loop in
-:mod:`repro.sim.engine`.  The batched sweep engine
-(:class:`repro.sim.fast_core.CoreBatch`,
-:func:`repro.sim.chip.solve_chip_batch`,
-:func:`repro.sim.engine.simulate_many`) evaluates many independent
-scenarios per vectorized step, and :mod:`repro.sim.runcache` persists
-converged runs on disk across sessions.
+:mod:`repro.sim.engine`.  The columnar sweep engine
+(:func:`repro.sim.table.simulate_many_columnar`) lowers many runs into
+one struct-of-arrays table and solves them with whole-table numpy
+steps, and :mod:`repro.sim.runcache` persists converged runs on disk
+across sessions.
 """
 
 from repro.sim.stream import MemoryBehavior, StreamParams
 from repro.sim.cache import CacheModel, EffectiveMissRates, SharingContext
 from repro.sim.memory import BandwidthModel, numa_remote_fraction
 from repro.sim.branch import BranchModel
-from repro.sim.fast_core import (
-    CoreBatch,
-    CoreInput,
-    CoreOutput,
-    solve_core,
-    solve_core_batch,
-)
-from repro.sim.chip import ChipSolution, solve_chip, solve_chip_batch
+from repro.sim.fast_core import CoreInput, CoreOutput, solve_core
+from repro.sim.chip import ChipSolution, solve_chip
 from repro.sim.results import RunResult
-from repro.sim.engine import RunSpec, simulate_many, simulate_run
+from repro.sim.engine import RunSpec, simulate_run
 from repro.sim.runcache import RunCache, run_cache_key
 from repro.sim.cycle_core import CycleCore, CycleCoreResult, InstructionGenerator
 
@@ -46,17 +39,13 @@ __all__ = [
     "BandwidthModel",
     "numa_remote_fraction",
     "BranchModel",
-    "CoreBatch",
     "CoreInput",
     "CoreOutput",
     "solve_core",
-    "solve_core_batch",
     "ChipSolution",
     "solve_chip",
-    "solve_chip_batch",
     "RunResult",
     "RunSpec",
-    "simulate_many",
     "simulate_run",
     "RunCache",
     "run_cache_key",

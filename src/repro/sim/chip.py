@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.obs import get_tracer
 from repro.sim.fast_core import (
-    CoreBatch,
     CoreInput,
     CoreOutput,
     effective_smt_mode,
@@ -161,153 +160,6 @@ def solve_chip(placement: Placement, stream: StreamParams) -> ChipSolution:
         traffic_gbps=final_traffic,
         mem_utilization=bandwidth.utilization(bandwidth.achievable_traffic(final_traffic)),
     )
-
-
-def solve_chip_batch(jobs) -> List[ChipSolution]:
-    """Solve many independent chip fixed points in lockstep.
-
-    ``jobs`` is a sequence of ``(placement, stream)`` pairs — the same
-    arguments :func:`solve_chip` takes — whose placements must all share
-    one :class:`Architecture` instance (systems may differ in chip count
-    or bandwidth).  Semantically equivalent to
-    ``[solve_chip(p, s) for p, s in jobs]``, but every bisection step
-    evaluates *all* jobs' core scenarios with one vectorized
-    :class:`CoreBatch` solve instead of per-job scalar loops.
-
-    The lockstep works because each job's bisection trajectory depends
-    only on its own offered utilization: jobs that settle at unit
-    latency or saturate at the cap drop out of the ``active`` mask, and
-    the rest bisect their own ``(lo, hi)`` brackets against a shared
-    batch evaluation until every bracket closes.
-
-    Telemetry: the call is wrapped in a ``chip.solve_chip_batch`` span
-    (attrs: job and scenario counts, lockstep bisection steps) and
-    accumulates ``chip.batch_bisection_steps`` / ``chip.batch_solves``.
-    """
-    jobs = list(jobs)
-    if not jobs:
-        return []
-    tracer = get_tracer()
-    if not tracer.enabled:
-        return _solve_chip_batch(jobs)
-    with tracer.span("chip.solve_chip_batch", jobs=len(jobs)) as span:
-        return _solve_chip_batch(jobs, span)
-
-
-def _solve_chip_batch(jobs, span=None) -> List[ChipSolution]:
-    arch = jobs[0][0].system.arch
-    scen_inputs: List[CoreInput] = []
-    scen_owner: List[int] = []
-    job_occupied: List[List[int]] = []
-    job_scen: List[Dict[int, int]] = []
-    job_bw: List[BandwidthModel] = []
-    for j, (placement, stream) in enumerate(jobs):
-        system = placement.system
-        if system.arch is not arch:
-            raise ValueError(
-                "all jobs in solve_chip_batch must share one Architecture instance"
-            )
-        occupied = [t for t in placement.threads_per_core if t > 0]
-        if not occupied:
-            raise ValueError("placement has no occupied cores")
-        threads_per_chip = max(placement.threads_per_chip())
-        extra_lat = numa_extra_latency(
-            system.n_chips, stream.memory.data_sharing, arch.caches.numa_extra_cycles
-        )
-        occ_to_scen: Dict[int, int] = {}
-        for occ in set(occupied):
-            occ_to_scen[occ] = len(scen_inputs)
-            scen_owner.append(j)
-            scen_inputs.append(
-                CoreInput(
-                    arch=arch,
-                    smt_level=effective_smt_mode(arch, occ),
-                    streams=tuple([stream] * occ),
-                    threads_per_chip=max(threads_per_chip, occ),
-                    extra_mem_latency=extra_lat,
-                )
-            )
-        job_occupied.append(occupied)
-        job_scen.append(occ_to_scen)
-        job_bw.append(BandwidthModel(system.mem_bandwidth_gbps()))
-
-    batch = CoreBatch(scen_inputs)
-    bytes_to_gbps = arch.cycles_per_second() / 1e9
-    owner = np.array(scen_owner)
-    n_jobs = len(jobs)
-
-    def job_utils(sol) -> np.ndarray:
-        # Mirror the scalar traffic_of: per-core terms summed in
-        # placement order, then a single utilization divide.
-        traffic = sol.traffic * bytes_to_gbps
-        return np.array(
-            [
-                job_bw[j].utilization(
-                    sum(float(traffic[job_scen[j][occ]]) for occ in job_occupied[j])
-                )
-                for j in range(n_jobs)
-            ]
-        )
-
-    steps_used = 0
-    final_mult = np.ones(n_jobs)
-    utils = job_utils(batch.solve(final_mult[owner]))
-    undone = utils > TOLERANCE
-    if undone.any():
-        hi_mult = np.array(
-            [bw.latency_multiplier(RHO_CAP * bw.capacity_gbps) for bw in job_bw]
-        )
-        utils_hi = job_utils(batch.solve(np.where(undone, hi_mult, 1.0)[owner]))
-        # Demand exceeds capacity even at maximum inflation: pin there.
-        saturated = undone & (utils_hi >= RHO_CAP)
-        final_mult = np.where(saturated, hi_mult, final_mult)
-        active = undone & ~saturated
-        lo = np.zeros(n_jobs)
-        hi = np.full(n_jobs, RHO_CAP)
-        for _ in range(BISECTION_STEPS):
-            if not active.any():
-                break
-            steps_used += 1
-            mid = (lo + hi) / 2.0
-            step_mult = np.array(
-                [
-                    bw.latency_multiplier(m * bw.capacity_gbps)
-                    for m, bw in zip(mid, job_bw)
-                ]
-            )
-            step_mult = np.where(active, step_mult, final_mult)
-            utils = job_utils(batch.solve(step_mult[owner]))
-            above = utils > mid
-            lo = np.where(active & above, mid, lo)
-            hi = np.where(active & ~above, mid, hi)
-            final_mult = np.where(active, step_mult, final_mult)
-            active = active & ~((hi - lo) < TOLERANCE)
-
-    final_sol = batch.solve(final_mult[owner])
-    outs = batch.materialize(final_sol)
-    if span is not None:
-        span.set(scenarios=len(scen_inputs), bisection_steps=steps_used)
-        tracer = get_tracer()
-        tracer.add("chip.batch_bisection_steps", steps_used)
-        tracer.add("chip.batch_solves", 2 + steps_used + int(undone.any()))
-        tracer.add("chip.batch_jobs", n_jobs)
-    results: List[ChipSolution] = []
-    for j in range(n_jobs):
-        bw = job_bw[j]
-        final_traffic = sum(
-            float(final_sol.traffic[job_scen[j][occ]]) * bytes_to_gbps
-            for occ in job_occupied[j]
-        )
-        results.append(
-            ChipSolution(
-                core_outputs=tuple(outs[job_scen[j][occ]] for occ in job_occupied[j]),
-                core_occupancy=tuple(job_occupied[j]),
-                mem_latency_mult=float(final_mult[j]),
-                traffic_gbps=final_traffic,
-                mem_utilization=bw.utilization(bw.achievable_traffic(final_traffic)),
-            )
-        )
-    return results
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -30,8 +30,8 @@ from repro.arch.classes import CLASS_ORDER, SPIN_LOOP_MIX, InstrClass
 from repro.counters.events import CLASS_COUNT_EVENTS, port_issue_event
 from repro.counters.pmu import Pmu
 from repro.obs import get_tracer
-from repro.sim.chip import ChipSolution, solve_chip, solve_chip_batch
-from repro.sim.fast_core import CoreInput, solve_core, solve_core_batch
+from repro.sim.chip import ChipSolution, solve_chip
+from repro.sim.fast_core import CoreInput, solve_core
 from repro.sim.results import RunResult
 from repro.sim.stream import StreamParams
 from repro.simos.scheduler import Placement, place_threads
@@ -126,119 +126,6 @@ def simulate_run(spec: RunSpec) -> RunResult:
         tracer.add("engine.spin_iterations", SPIN_ITERATIONS)
 
     return _finalize_run(spec, n, placement, solution, spin, useful_rate)
-
-
-def simulate_many(specs: Sequence[RunSpec]) -> List[RunResult]:
-    """Simulate many runs, batching the chip solves across specs.
-
-    Semantically equivalent to ``[simulate_run(s) for s in specs]`` (to
-    floating-point round-off): the lock cap, spin fixed point, time
-    accounting, jitter, and counters follow the exact scalar control
-    flow, but every round of chip solves — the base solve and each spin
-    iteration — runs through :func:`repro.sim.chip.solve_chip_batch` so
-    the whole sweep shares vectorized core evaluations.  Specs are
-    grouped by architecture instance (a batch cannot mix architectures);
-    results come back in input order.
-    """
-    specs = list(specs)
-    results: List[Optional[RunResult]] = [None] * len(specs)
-    groups: Dict[int, List[int]] = {}
-    for i, spec in enumerate(specs):
-        groups.setdefault(id(spec.system.arch), []).append(i)
-    with get_tracer().span(
-        "engine.simulate_many", runs=len(specs), arch_groups=len(groups)
-    ):
-        for indices in groups.values():
-            for i, result in zip(indices, _simulate_group([specs[i] for i in indices])):
-                results[i] = result
-    return results  # type: ignore[return-value]
-
-
-def _simulate_group(specs: List[RunSpec]) -> List[RunResult]:
-    """Batched run loop for specs sharing one architecture instance."""
-    arch = specs[0].system.arch
-    freq = arch.cycles_per_second()
-    ns = [spec.resolved_threads() for spec in specs]
-    placements = [
-        place_threads(spec.system, spec.smt_level, n) for spec, n in zip(specs, ns)
-    ]
-
-    # Warm the serial-rate memo for the group's distinct streams in one
-    # vectorized pass (they are all independent SMT1 solo solves).
-    pending: Dict[Tuple[int, StreamParams], StreamParams] = {}
-    for spec in specs:
-        key = (id(arch), spec.stream)
-        hit = _SERIAL_RATE_CACHE.get(key)
-        if (hit is None or hit[0] is not arch) and key not in pending:
-            pending[key] = spec.stream
-    if pending:
-        get_tracer().add("engine.serial_memo_misses", len(pending))
-        solo = solve_core_batch(
-            [
-                CoreInput(arch=arch, smt_level=1, streams=(stream,), threads_per_chip=1)
-                for stream in pending.values()
-            ]
-        )
-        for key, out in zip(pending, solo):
-            _SERIAL_RATE_CACHE[key] = (arch, float(out.ipc[0]) * freq)
-
-    base = solve_chip_batch(
-        [(pl, spec.stream) for pl, spec in zip(placements, specs)]
-    )
-    solutions: List[ChipSolution] = list(base)
-    runnables: List[float] = []
-    lock_caps: List[float] = []
-    spin0s: List[float] = []
-    spins: List[float] = []
-    useful_rates: List[Optional[float]] = []
-    loop_idx: List[int] = []
-    for i, (spec, n, sol) in enumerate(zip(specs, ns, base)):
-        runnable = spec.sync.runnable_fraction(n)
-        holder_rate = float(np.mean(sol.per_thread_ipc())) * freq
-        lock_cap = spec.sync.lock_throughput_cap(holder_rate, n)
-        spin0 = spec.sync.spin_fraction(n)
-        runnables.append(runnable)
-        lock_caps.append(lock_cap)
-        spin0s.append(spin0)
-        spins.append(spin0)
-        if spin0 == 0.0 and math.isinf(lock_cap):
-            useful_rates.append(float(np.sum(sol.per_thread_ipc())) * freq * runnable)
-        else:
-            useful_rates.append(None)
-            loop_idx.append(i)
-
-    tracer = get_tracer()
-    if tracer.enabled:
-        tracer.add("engine.sync_free_runs", len(specs) - len(loop_idx))
-        if loop_idx:
-            tracer.add("engine.spin_rounds", SPIN_ITERATIONS)
-            tracer.add("engine.spin_iterations", SPIN_ITERATIONS * len(loop_idx))
-
-    if loop_idx:
-        for _ in range(SPIN_ITERATIONS):
-            jobs = [
-                (
-                    placements[i],
-                    specs[i].stream.with_mix(
-                        specs[i].stream.mix.blend(SPIN_LOOP_MIX, spins[i])
-                    ),
-                )
-                for i in loop_idx
-            ]
-            for i, sol in zip(loop_idx, solve_chip_batch(jobs)):
-                solutions[i] = sol
-                raw_rate = float(np.sum(sol.per_thread_ipc())) * freq
-                available = raw_rate * runnables[i]
-                useful = min(available * (1.0 - spin0s[i]), lock_caps[i])
-                useful_rates[i] = useful
-                spins[i] = min(MAX_SPIN, 1.0 - useful / available)
-
-    return [
-        _finalize_run(spec, n, placement, solution, spin, useful_rate)
-        for spec, n, placement, solution, spin, useful_rate in zip(
-            specs, ns, placements, solutions, spins, useful_rates
-        )
-    ]
 
 
 def _finalize_run(

@@ -28,29 +28,19 @@ of numpy operations (see the HPC guides' "vectorize, don't iterate").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.arch.machine import Architecture
-from repro.obs import get_tracer
-from repro.sim.branch import SHARING_PENALTY_PER_THREAD, BranchModel
+from repro.sim.branch import BranchModel
 from repro.sim.cache import (
-    MAX_PRESSURE_SCALE,
-    MAX_RELATIVE_PRESSURE,
-    MIN_RELATIVE_PRESSURE,
     CacheModel,
     EffectiveMissRates,
     SharingContext,
     corunner_pressure,
 )
-from repro.sim.stream import (
-    REF_L1_KB,
-    REF_L2_KB,
-    REF_L3_MB_PER_THREAD,
-    StreamParams,
-)
-from repro.arch.classes import InstrClass, N_CLASSES
+from repro.sim.stream import StreamParams
 
 # NOTE on the saturated regime: an earlier formulation charged an extra
 # scheduling-conflict penalty growing with oversubscription depth
@@ -262,318 +252,6 @@ def solve_core(inp: CoreInput) -> CoreOutput:
         branch_rate=br_rate,
         traffic_bytes_per_cycle=traffic,
     )
-
-
-@dataclass(frozen=True)
-class BatchSolution:
-    """Raw padded arrays for one vectorized solve of a :class:`CoreBatch`.
-
-    Thread axes are padded to the widest scenario in the batch; padded
-    slots hold zeros.  The arrays are the inner-loop currency of the
-    bandwidth bisection — :meth:`CoreBatch.materialize` turns the final
-    one into per-scenario :class:`CoreOutput` objects.
-    """
-
-    x: np.ndarray              # (B, K) per-thread IPC
-    lam: np.ndarray            # (B,) structural throttle
-    port_util: np.ndarray      # (B, P)
-    dispatch_held: np.ndarray  # (B,)
-    stall_frac: np.ndarray     # (B, K)
-    long_frac: np.ndarray      # (B, K)
-    traffic: np.ndarray        # (B,) DRAM bytes per core cycle
-
-
-def _water_fill_batch(
-    caps: np.ndarray,
-    weights: np.ndarray,
-    budget: np.ndarray,
-    mask: np.ndarray,
-    needs: np.ndarray,
-) -> np.ndarray:
-    """Vectorized :func:`_water_fill` over the rows selected by ``needs``.
-
-    Runs every scenario's pin-and-redistribute rounds in lockstep; a row
-    whose allocation settles (no thread capped) is frozen while the rest
-    keep iterating.  Mirrors the scalar loop arithmetic exactly.
-    """
-    x = np.zeros_like(caps)
-    active = mask & needs[:, None]
-    remaining = np.where(needs, budget, 0.0)
-    open_rows = needs.copy()
-    for _ in range(caps.shape[1]):
-        rows = open_rows & active.any(axis=1) & (remaining > 0)
-        if not rows.any():
-            break
-        w_act = np.where(active, weights, 0.0)
-        share = (
-            remaining[:, None] * w_act / np.maximum(w_act.sum(axis=1), 1e-300)[:, None]
-        )
-        capped = active & (share >= caps - 1e-15)
-        settle = rows & ~capped.any(axis=1)
-        if settle.any():
-            x = np.where(settle[:, None] & active, share, x)
-            open_rows = open_rows & ~settle
-        pin = capped & rows[:, None]
-        if pin.any():
-            x = np.where(pin, caps, x)
-            remaining = remaining - np.where(pin, caps, 0.0).sum(axis=1)
-            active = active & ~pin
-    return np.minimum(x, caps)
-
-
-class CoreBatch:
-    """Vectorized solver state for many independent core scenarios.
-
-    Stacks the :class:`StreamParams` of every (workload, SMT level,
-    latency-multiplier) scenario into padded numpy arrays and solves
-    them with one set of array operations per call.  All scenarios must
-    share one :class:`Architecture` *instance* (the routing matrix and
-    partition tables are hoisted out of the per-scenario math).
-
-    Everything that does not depend on the memory-latency multiplier —
-    cache sharing, branch penalties, issue capability, port routing —
-    is precomputed at construction; the memory stall is linear in the
-    multiplier (``stall = base + coef * mult``), so the bandwidth
-    bisection re-solves the entire batch per step with ~15 array ops
-    instead of one :func:`solve_core` call per scenario.
-    """
-
-    def __init__(self, inputs: Sequence[CoreInput]):
-        inputs = tuple(inputs)
-        if not inputs:
-            raise ValueError("CoreBatch needs at least one scenario")
-        arch = inputs[0].arch
-        for inp in inputs:
-            if inp.arch is not arch:
-                raise ValueError(
-                    "all scenarios in a CoreBatch must share one Architecture instance"
-                )
-        self.arch = arch
-        self.inputs = inputs
-        caches = arch.caches
-        B = len(inputs)
-        K = max(len(inp.streams) for inp in inputs)
-        P = arch.topology.n_ports
-
-        tracer = get_tracer()
-        if tracer.enabled:
-            # Padding waste: slots allocated for the widest scenario but
-            # masked off for narrower ones (wasted array work per solve).
-            total_threads = sum(len(inp.streams) for inp in inputs)
-            tracer.add("core_batch.batches")
-            tracer.add("core_batch.scenarios", B)
-            tracer.add("core_batch.slots", B * K)
-            tracer.add("core_batch.padded_slots", B * K - total_threads)
-
-        self.n = np.array([len(inp.streams) for inp in inputs], dtype=float)
-        mask = np.zeros((B, K), dtype=bool)
-        ilp = np.zeros((B, K))
-        mlp = np.ones((B, K))
-        br_base = np.zeros((B, K))
-        l1 = np.zeros((B, K))
-        l2 = np.zeros((B, K))
-        l3 = np.zeros((B, K))
-        alpha = np.zeros((B, K))
-        d = np.zeros((B, K))
-        wb = np.ones((B, K))
-        weights = np.zeros((B, K))
-        mix = np.zeros((B, K, N_CLASSES))
-        ilp_scale = np.empty(B)
-        disp_w = np.empty(B)
-        tpc = np.empty(B)
-        extra = np.empty(B)
-
-        for b, inp in enumerate(inputs):
-            k = len(inp.streams)
-            mask[b, :k] = True
-            resources = arch.partition.thread_resources(inp.smt_level)
-            ilp_scale[b] = resources.ilp_scale
-            disp_w[b] = arch.partition.core_dispatch_width(inp.smt_level)
-            tpc[b] = inp.threads_per_chip
-            extra[b] = inp.extra_mem_latency
-            weights[b, :k] = inp.weights()
-            first = inp.streams[0]
-            if all(s is first for s in inp.streams):
-                # Homogeneous (SPMD) scenario: one extraction, broadcast.
-                mem = first.memory
-                ilp[b, :k] = first.ilp
-                mlp[b, :k] = first.mlp
-                br_base[b, :k] = first.branch_mispredict_rate
-                l1[b, :k] = mem.l1_mpki
-                l2[b, :k] = mem.l2_mpki
-                l3[b, :k] = mem.l3_mpki
-                alpha[b, :k] = mem.locality_alpha
-                d[b, :k] = mem.data_sharing
-                wb[b, :k] = mem.writeback_factor
-                mix[b, :k] = first.mix.vector
-            else:
-                for t, s in enumerate(inp.streams):
-                    mem = s.memory
-                    ilp[b, t] = s.ilp
-                    mlp[b, t] = s.mlp
-                    br_base[b, t] = s.branch_mispredict_rate
-                    l1[b, t] = mem.l1_mpki
-                    l2[b, t] = mem.l2_mpki
-                    l3[b, t] = mem.l3_mpki
-                    alpha[b, t] = mem.locality_alpha
-                    d[b, t] = mem.data_sharing
-                    wb[b, t] = mem.writeback_factor
-                    mix[b, t] = s.mix.vector
-
-        self._mask = mask
-        self._weights = weights
-        self._disp_w = disp_w
-
-        # Partner-aware private-cache pressure (corunner_pressure): each
-        # co-runner displaces the victim in proportion to relative
-        # footprint heat; the clipped self-ratio is exactly 1, so it is
-        # subtracted back out.
-        heat = np.where(mask, l1, 0.0) + 1e-3
-        ratio = np.clip(
-            heat[:, None, :] / heat[:, :, None],
-            MIN_RELATIVE_PRESSURE,
-            MAX_RELATIVE_PRESSURE,
-        )
-        contrib = (1.0 - d)[:, None, :] * ratio * mask[:, None, :]
-        pressure = 1.0 + contrib.sum(axis=2) - (1.0 - d)
-        pressure = np.where(mask, pressure, 1.0)
-
-        inv_max = 1.0 / MAX_PRESSURE_SCALE
-        scale_l1 = np.clip(
-            (REF_L1_KB / (caches.l1d_kb / pressure)) ** alpha, inv_max, MAX_PRESSURE_SCALE
-        )
-        scale_l2 = np.clip(
-            (REF_L2_KB / (caches.l2_kb / pressure)) ** alpha, inv_max, MAX_PRESSURE_SCALE
-        )
-        k_chip = 1.0 + (tpc[:, None] - 1.0) * (1.0 - d)
-        c_l3 = caches.l3_mb * 1024.0 / k_chip
-        scale_l3 = np.clip(
-            (REF_L3_MB_PER_THREAD * 1024.0 / c_l3) ** alpha, inv_max, MAX_PRESSURE_SCALE
-        )
-        l1e = l1 * scale_l1
-        l2e = np.minimum(l2 * scale_l2, l1e)
-        l3e = np.minimum(l3 * scale_l3, l2e)
-        self._l1e, self._l2e, self._l3e = l1e, l2e, l3e
-
-        # Memory stall is linear in the latency multiplier.
-        l2hit = l1e - l2e
-        l3hit = l2e - l3e
-        inv_kmlp = np.where(mask, 1.0 / (1000.0 * mlp), 0.0)
-        self._mem_coef = l3e * caches.lat_mem * inv_kmlp
-        self._long_base = (l3hit * caches.lat_l3 + l3e * extra[:, None]) * inv_kmlp
-        mem_base = (
-            l2hit * caches.lat_l2 + l3hit * caches.lat_l3 + l3e * extra[:, None]
-        ) * inv_kmlp
-
-        br_rate = np.minimum(
-            br_base * (1.0 + SHARING_PENALTY_PER_THREAD * (self.n[:, None] - 1.0)), 1.0
-        )
-        self._br_rate = np.where(mask, br_rate, 0.0)
-        br_stall = mix[:, :, InstrClass.BRANCH] * self._br_rate * arch.branch_penalty
-        self._stall_base = mem_base + br_stall
-
-        r = np.minimum(ilp * ilp_scale[:, None], float(arch.partition.issue_width))
-        self._inv_r = np.where(mask, 1.0 / np.where(mask, r, 1.0), 0.0)
-
-        routing = arch.topology.routing_matrix
-        self._port_vec = np.einsum("btc,pc->btp", mix, routing)  # (B, K, P)
-        self._caps = arch.topology.capacities
-        self._traffic_bpi = l3e / 1000.0 * caches.line_bytes * wb * mask
-
-    def __len__(self) -> int:
-        return len(self.inputs)
-
-    def solve(self, mults: np.ndarray) -> BatchSolution:
-        """Solve every scenario at its own memory-latency multiplier."""
-        get_tracer().add("core_batch.solves")
-        mults = np.asarray(mults, dtype=float)
-        if mults.shape != (len(self.inputs),):
-            raise ValueError(
-                f"need one multiplier per scenario: {mults.shape} vs {len(self.inputs)}"
-            )
-        mask = self._mask
-        stall = self._stall_base + self._mem_coef * mults[:, None]
-        denom = self._inv_r + stall
-        x_want = np.where(mask, 1.0 / np.where(mask, denom, 1.0), 0.0)
-
-        demand = np.einsum("bt,btp->bp", x_want, self._port_vec)
-        with np.errstate(divide="ignore"):
-            ratios = np.where(
-                demand > 0, self._caps[None, :] / np.maximum(demand, 1e-300), np.inf
-            )
-        lam_port = np.minimum(1.0, ratios.min(axis=1))
-        sum_x = x_want.sum(axis=1)
-        lam_fe = np.minimum(1.0, self._disp_w / np.maximum(sum_x, 1e-12))
-        lam = np.minimum(lam_port, lam_fe)
-
-        needs = lam < 1.0
-        if needs.any():
-            x_fill = _water_fill_batch(x_want, self._weights, lam * sum_x, mask, needs)
-            x = np.where(needs[:, None], x_fill, x_want)
-        else:
-            x = x_want
-
-        port_util = np.einsum("bt,btp->bp", x, self._port_vec) / self._caps[None, :]
-        long_frac = np.clip(x * (self._long_base + self._mem_coef * mults[:, None]), 0.0, 1.0)
-        held_queue = long_frac.sum(axis=1) / self.n * QUEUE_FILL_FACTOR
-        dispatch_held = np.clip(1.0 - (1.0 - held_queue) * lam, 0.0, 1.0)
-        stall_frac = np.clip(x * stall, 0.0, 1.0)
-        traffic = (x * self._traffic_bpi).sum(axis=1)
-        return BatchSolution(
-            x=x,
-            lam=lam,
-            port_util=port_util,
-            dispatch_held=dispatch_held,
-            stall_frac=stall_frac,
-            long_frac=long_frac,
-            traffic=traffic,
-        )
-
-    def materialize(self, solution: BatchSolution) -> List[CoreOutput]:
-        """Expand a raw batch solution into per-scenario :class:`CoreOutput`s."""
-        outputs: List[CoreOutput] = []
-        for b, inp in enumerate(self.inputs):
-            k = len(inp.streams)
-            rates = tuple(
-                EffectiveMissRates(
-                    l1_mpki=float(self._l1e[b, t]),
-                    l2_mpki=float(self._l2e[b, t]),
-                    l3_mpki=float(self._l3e[b, t]),
-                )
-                for t in range(k)
-            )
-            outputs.append(
-                CoreOutput(
-                    ipc=solution.x[b, :k].copy(),
-                    port_utilization=solution.port_util[b].copy(),
-                    port_scale=float(solution.lam[b]),
-                    dispatch_held_fraction=float(solution.dispatch_held[b]),
-                    stall_fraction=solution.stall_frac[b, :k].copy(),
-                    long_stall_fraction=solution.long_frac[b, :k].copy(),
-                    miss_rates=rates,
-                    branch_rate=self._br_rate[b, :k].copy(),
-                    traffic_bytes_per_cycle=float(solution.traffic[b]),
-                )
-            )
-        return outputs
-
-    def outputs(self, mults: np.ndarray) -> List[CoreOutput]:
-        return self.materialize(self.solve(mults))
-
-
-def solve_core_batch(inputs: Sequence[CoreInput]) -> List[CoreOutput]:
-    """Solve many independent core scenarios in one vectorized pass.
-
-    Semantically equivalent to ``[solve_core(inp) for inp in inputs]``
-    (to floating-point round-off; the property suite pins the agreement
-    at <= 1e-9 relative error).  All inputs must share one
-    :class:`Architecture` instance.
-    """
-    inputs = list(inputs)
-    if not inputs:
-        return []
-    batch = CoreBatch(inputs)
-    return batch.outputs(np.array([inp.mem_latency_mult for inp in inputs]))
 
 
 def effective_smt_mode(arch: Architecture, threads_on_core: int) -> int:

@@ -6,7 +6,7 @@ so a run that spreads an SPMD workload across the whole chip decomposes
 *exactly* into one independent homogeneous sub-run per cluster: each
 cluster solves its own port/bandwidth fixed point against its own
 bandwidth slice, at its own SMT level.  That makes every existing
-engine — the scalar reference, the batched solver, and the columnar
+engine — the scalar reference and the columnar
 :class:`~repro.sim.table.ScenarioTable` — reusable per cluster, and the
 serial-vs-columnar differential bound (≤ 1e-9 relative) carries over to
 heterogeneous results for free.
@@ -23,7 +23,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.arch.hetero import HeteroChip
 from repro.sim.chip import ChipSolution, solve_chip
-from repro.sim.engine import DEFAULT_WORK, RunSpec, simulate_many, simulate_run
+from repro.sim.engine import DEFAULT_WORK, RunSpec, simulate_run
 from repro.sim.results import RunResult
 from repro.sim.stream import StreamParams
 from repro.simos.scheduler import place_threads
@@ -32,7 +32,7 @@ from repro.simos.system import SystemSpec
 
 #: Mirrors ``repro.experiments.runner.Strategy`` for the subset that is
 #: meaningful per cluster.
-_STRATEGIES = ("serial", "batched", "columnar")
+_STRATEGIES = ("serial", "columnar")
 
 
 @dataclass(frozen=True)
@@ -159,8 +159,6 @@ def simulate_many_hetero(
 
     if strategy == "serial":
         flat_results = [simulate_run(s) for s in flat]
-    elif strategy == "batched":
-        flat_results = simulate_many(flat)
     else:
         from repro.sim.table import simulate_many_columnar
 

@@ -1,8 +1,8 @@
 """Columnar ScenarioTable engine: whole-sweep simulation without per-run loops.
 
-The batched engine (:func:`repro.sim.engine.simulate_many`) already
-vectorizes the *core solves*, but it still materializes every scenario
-as per-run Python objects — a :class:`CoreInput` per occupancy class per
+The scalar reference (:func:`repro.sim.engine.simulate_run`) solves one
+run at a time through per-run Python objects — a
+:class:`~repro.sim.fast_core.CoreInput` per occupancy class per
 bisection step, a fresh :class:`~repro.arch.classes.Mix` per spin
 iteration, and one ``Pmu`` with thousands of scalar ``add`` calls per
 run.  This module lowers a whole batch of :class:`RunSpec`\\ s into one
@@ -47,7 +47,7 @@ from repro.sim.branch import SHARING_PENALTY_PER_THREAD
 from repro.sim.cache import MAX_PRESSURE_SCALE
 from repro.sim.chip import BISECTION_STEPS, TOLERANCE
 from repro.sim.engine import MAX_SPIN, SPIN_ITERATIONS, RunSpec
-from repro.sim.fast_core import QUEUE_FILL_FACTOR, CoreInput, effective_smt_mode, solve_core_batch
+from repro.sim.fast_core import QUEUE_FILL_FACTOR, effective_smt_mode
 from repro.sim.memory import MAX_LATENCY_MULT, RHO_CAP, numa_extra_latency
 from repro.sim.results import RunResult
 from repro.sim.stream import REF_L1_KB, REF_L2_KB, REF_L3_MB_PER_THREAD
@@ -155,7 +155,7 @@ class _View:
 
         ``mult``/``w`` are per-run (view-local) memory-latency
         multipliers and spin-blend weights.  Mirrors
-        :meth:`repro.sim.fast_core.CoreBatch.solve` specialized to
+        :func:`repro.sim.fast_core.solve_core` specialized to
         homogeneous (SPMD) rows with uniform priorities.
         """
         t = self.table
@@ -207,7 +207,7 @@ class _View:
     def chip_phase(self, w: np.ndarray) -> Tuple[_Sol, np.ndarray]:
         """Bandwidth bisection for every run of the view, in lockstep.
 
-        Mirrors :func:`repro.sim.chip._solve_chip_batch`: settle runs at
+        Mirrors :func:`repro.sim.chip.solve_chip`: settle runs at
         unit latency, pin saturated runs at the cap, bisect the rest.
         All active brackets halve together, so the loop exits for every
         run at the same step (~14 of the nominal 40).
@@ -387,7 +387,7 @@ class ScenarioTable:
         self.row_mix = mix
         self.row_disp_w = disp_w
 
-        # ---- mult-independent precompute (mirrors CoreBatch.__init__) -
+        # ---- mult-independent precompute --------------------------------
         # Homogeneous rows: the clipped footprint-heat self-ratio is
         # exactly 1, so each of the occ co-runners contributes (1 - d);
         # the sequential accumulation replicates the padded-axis sum.
@@ -459,27 +459,6 @@ class ScenarioTable:
         if run_idx is None:
             run_idx = np.arange(self.n_runs)
         return _View(self, np.asarray(run_idx, dtype=int))
-
-    def _warm_serial_rates(self, run_idx: np.ndarray) -> None:
-        """Warm the engine's serial-rate memo for the selected runs."""
-        arch = self.arch
-        pending: Dict[Tuple[int, object], object] = {}
-        for j in run_idx:
-            stream = self.specs[j].stream
-            key = (id(arch), stream)
-            hit = _engine._SERIAL_RATE_CACHE.get(key)
-            if (hit is None or hit[0] is not arch) and key not in pending:
-                pending[key] = stream
-        if pending:
-            get_tracer().add("engine.serial_memo_misses", len(pending))
-            solo = solve_core_batch(
-                [
-                    CoreInput(arch=arch, smt_level=1, streams=(s,), threads_per_chip=1)
-                    for s in pending.values()
-                ]
-            )
-            for key, out in zip(pending, solo):
-                _engine._SERIAL_RATE_CACHE[key] = (arch, float(out.ipc[0]) * self.freq)
 
     # -- the fixed-point driver ----------------------------------------
 
@@ -611,7 +590,6 @@ class ScenarioTable:
         arch = self.arch
         freq = self.freq
         E = self.n_events
-        self._warm_serial_rates(run_idx)
 
         m = len(run_idx)
         # Times + jitter (scalar arithmetic per run mirrors account_run /
@@ -759,7 +737,7 @@ class ScenarioTable:
 
 
 def simulate_many_columnar(specs: Sequence[RunSpec]) -> List[RunResult]:
-    """Columnar equivalent of :func:`repro.sim.engine.simulate_many`.
+    """Simulate many runs: ``[simulate_run(s) for s in specs]``, columnar.
 
     Groups specs by architecture instance, lowers each group into one
     :class:`ScenarioTable`, and returns results in input order.  Agrees

@@ -1,5 +1,6 @@
 """Tests for the stable public facade (:mod:`repro.api`)."""
 
+import inspect
 import json
 
 import pytest
@@ -114,6 +115,45 @@ class TestSweep:
         runs = session.sweep(["EP"], (1, 4))
         assert set(runs.runs) == {"EP"}
         assert set(runs.runs["EP"]) == {1, 4}
+
+
+class TestSweepDefaultStrategy:
+    """A sweep without ``strategy`` runs on ``run_catalog``'s default."""
+
+    @staticmethod
+    def swept_strategies(sweep):
+        from repro.obs import configure
+
+        tracer = configure(enabled=True)
+        tracer.reset()
+        try:
+            sweep()
+            return [record.attrs["strategy"] for record in tracer.spans()
+                    if record.name == "runner.run_catalog"]
+        finally:
+            configure(enabled=False)
+            tracer.reset()
+
+    def test_api_and_serve_default_is_run_catalog_default(self):
+        from repro.serve.client import ServeClient
+        from repro.serve.handlers import handle_sweep
+
+        default = inspect.signature(run_catalog).parameters["strategy"].default
+        no_cache = {"use_cache": False}
+        assert self.swept_strategies(
+            lambda: api.Session("p7", **no_cache).sweep(["EP"], (1,))
+        ) == [default]
+        assert self.swept_strategies(
+            lambda: api.sweep_summary("p7", ["EP"], (1,), **no_cache)
+        ) == [default]
+        assert self.swept_strategies(
+            lambda: handle_sweep({"workloads": ["EP"], "levels": [1]},
+                                 no_cache)
+        ) == [default]
+        # The client leaves the choice to the server.
+        client = object.__new__(ServeClient)
+        client.request = lambda op, params, deadline_ms=None: params
+        assert "strategy" not in client.sweep(workloads=["EP"])
 
 
 class TestScoreCounters:

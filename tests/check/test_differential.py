@@ -1,7 +1,7 @@
 """The differential pillar: fast paths vs the serial reference.
 
 Includes the acceptance scenario: a deliberately injected divergence
-in the batched solver (a perturbed ``solve_chip_batch`` under
+in the columnar engine (a perturbed ``simulate_many_columnar`` under
 monkeypatch) must be detected and shrunk to a minimal reproducing
 scenario set, and must drive the aggregate exit code nonzero.
 """
@@ -10,7 +10,7 @@ import dataclasses
 
 import pytest
 
-import repro.sim.engine as engine
+import repro.sim.table as table
 from repro.check.differential import (
     REL_TOL,
     compare_runs,
@@ -77,78 +77,21 @@ class TestCleanPaths:
     def test_all_fast_paths_match_reference(self):
         report = run_differential_checks(
             workloads=("EP", "SSCA2"), levels=(1, 4),
-            include_parallel=False,
         )
         assert report.ok, [v.render() for v in report.violations]
         assert report.pillar == "differential"
         assert report.subjects == 4
-        # batched + columnar + surrogate (whole-batch gate + per run) +
-        # runcache + predict, for each scenario/workload.
-        assert report.checks_run == 4 + 4 + (1 + 4) + 4 + 2
-        assert report.stats["parallel_included"] is False
+        # columnar + surrogate (whole-batch gate + per run) + runcache
+        # + predict, for each scenario/workload.
+        assert report.checks_run == 4 + (1 + 4) + 4 + 2
         assert report.stats["surrogate_rel_tol"] == 1e-2
-
-    def test_parallel_path_matches_reference(self):
-        report = run_differential_checks(
-            workloads=("EP",), levels=(1, 2), include_parallel=True,
-        )
-        assert report.ok, [v.render() for v in report.violations]
 
 
 class TestInjectedDivergence:
-    """The acceptance criterion: a perturbed batched solver is caught."""
+    """The acceptance criterion: a perturbed columnar engine is caught."""
 
     @pytest.fixture
-    def perturbed_batched_solver(self, monkeypatch):
-        real = engine.solve_chip_batch
-
-        def perturbed(jobs):
-            return [
-                dataclasses.replace(
-                    s, mem_latency_mult=s.mem_latency_mult * 1.001
-                )
-                for s in real(jobs)
-            ]
-
-        # engine.simulate_many resolves the name at module level, so
-        # this perturbs only the batched path; simulate_run (the serial
-        # reference) goes through solve_chip and stays exact.
-        monkeypatch.setattr(engine, "solve_chip_batch", perturbed)
-
-    def test_divergence_is_detected_and_minimized(
-        self, perturbed_batched_solver
-    ):
-        report = run_differential_checks(
-            workloads=("EP", "SSCA2"), levels=(1, 4),
-            include_parallel=False,
-        )
-        assert not report.ok
-        batched = [v for v in report.violations
-                   if v.check == "batched_vs_serial"]
-        assert batched, [v.render() for v in report.violations]
-        labels = set(report.stats["scenarios"])
-        for violation in batched:
-            assert violation.details["rel_error"] > REL_TOL
-            minimized = violation.details["minimized_scenarios"]
-            assert minimized, "divergence must ship a reproducing scenario"
-            assert set(minimized) <= labels
-            # ddmin shrank the 4-scenario batch, it did not just echo it.
-            assert len(minimized) < report.subjects
-
-    def test_divergence_drives_exit_code_nonzero(
-        self, perturbed_batched_solver
-    ):
-        report = run_differential_checks(
-            workloads=("EP", "SSCA2"), levels=(1, 4),
-            include_parallel=False,
-        )
-        aggregate = CheckReport(pillars=(report,))
-        assert aggregate.exit_code == 1
-        assert "FAIL" in aggregate.render()
-
-    def test_columnar_divergence_is_detected(self, monkeypatch):
-        import repro.sim.table as table
-
+    def perturbed_columnar(self, monkeypatch):
         real = table.simulate_many_columnar
 
         def perturbed(specs):
@@ -159,10 +102,39 @@ class TestInjectedDivergence:
                 for r in real(specs)
             ]
 
+        # The differential pillar resolves the name through the module
+        # at call time; simulate_run (the serial reference) never goes
+        # through it and stays exact.
         monkeypatch.setattr(table, "simulate_many_columnar", perturbed)
+
+    def test_divergence_is_detected_and_minimized(self, perturbed_columnar):
         report = run_differential_checks(
             workloads=("EP", "SSCA2"), levels=(1, 4),
-            include_parallel=False,
+        )
+        assert not report.ok
+        columnar = [v for v in report.violations
+                    if v.check == "columnar_vs_serial"]
+        assert columnar, [v.render() for v in report.violations]
+        labels = set(report.stats["scenarios"])
+        for violation in columnar:
+            assert violation.details["rel_error"] > REL_TOL
+            minimized = violation.details["minimized_scenarios"]
+            assert minimized, "divergence must ship a reproducing scenario"
+            assert set(minimized) <= labels
+            # ddmin shrank the 4-scenario batch, it did not just echo it.
+            assert len(minimized) < report.subjects
+
+    def test_divergence_drives_exit_code_nonzero(self, perturbed_columnar):
+        report = run_differential_checks(
+            workloads=("EP", "SSCA2"), levels=(1, 4),
+        )
+        aggregate = CheckReport(pillars=(report,))
+        assert aggregate.exit_code == 1
+        assert "FAIL" in aggregate.render()
+
+    def test_columnar_divergence_is_detected(self, perturbed_columnar):
+        report = run_differential_checks(
+            workloads=("EP", "SSCA2"), levels=(1, 4),
         )
         columnar = [v for v in report.violations
                     if v.check == "columnar_vs_serial"]
@@ -188,7 +160,6 @@ class TestInjectedDivergence:
         monkeypatch.setattr(surrogate, "simulate_many_surrogate", beyond_bound)
         report = run_differential_checks(
             workloads=("EP", "SSCA2"), levels=(1, 4),
-            include_parallel=False,
         )
         bad = [v for v in report.violations
                if v.check == "surrogate_vs_solver"]
@@ -197,7 +168,6 @@ class TestInjectedDivergence:
 
     def test_surrogate_that_never_engages_is_flagged(self, monkeypatch):
         import repro.sim.surrogate as surrogate
-        import repro.sim.table as table
 
         def always_falls_back(specs):
             results = table.simulate_many_columnar(specs)
@@ -208,26 +178,9 @@ class TestInjectedDivergence:
         )
         report = run_differential_checks(
             workloads=("EP", "SSCA2"), levels=(1, 4),
-            include_parallel=False,
         )
         gate = [v for v in report.violations
                 if v.check == "surrogate_vs_solver"]
         assert len(gate) == 1
         assert gate[0].subject == "(whole batch)"
         assert report.stats["surrogate_accepted"] == 0
-
-    def test_simulate_batch_seam_equivalent_injection(self):
-        # The explicit seam gives the same detection without patching.
-        def perturbed_many(specs):
-            return [
-                dataclasses.replace(
-                    r, mem_latency_mult=r.mem_latency_mult * 1.001
-                )
-                for r in engine.simulate_many(specs)
-            ]
-
-        report = run_differential_checks(
-            workloads=("EP",), levels=(1, 4), include_parallel=False,
-            simulate_batch=perturbed_many,
-        )
-        assert any(v.check == "batched_vs_serial" for v in report.violations)

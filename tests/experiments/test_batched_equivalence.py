@@ -1,11 +1,13 @@
-"""The batched strategy must reproduce the serial reference and honour the cache."""
+"""The default (columnar) sweep must reproduce the serial reference and
+honour the run cache; the surrogate must stay within its bound and out
+of the exact cache."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.experiments.runner import run_catalog
+from repro.experiments.runner import Strategy, run_catalog
 from repro.experiments.systems import nehalem_system, p7_system
 from repro.sim.runcache import RunCache
 from repro.workloads.catalog import all_workloads
@@ -28,33 +30,33 @@ def close(a, b):
     return bool(np.all(np.abs(a - b) <= REL_TOL * (np.abs(a) + 1e-12)))
 
 
-def assert_run_matches(scalar, batched):
-    assert batched.arch.name == scalar.arch.name
-    assert batched.smt_level == scalar.smt_level
-    assert batched.n_threads == scalar.n_threads
-    assert batched.n_chips == scalar.n_chips
-    assert batched.useful_instructions == scalar.useful_instructions
-    st, bt = dataclasses.asdict(scalar.times), dataclasses.asdict(batched.times)
-    assert st.keys() == bt.keys()
+def assert_run_matches(scalar, fast):
+    assert fast.arch.name == scalar.arch.name
+    assert fast.smt_level == scalar.smt_level
+    assert fast.n_threads == scalar.n_threads
+    assert fast.n_chips == scalar.n_chips
+    assert fast.useful_instructions == scalar.useful_instructions
+    st, ft = dataclasses.asdict(scalar.times), dataclasses.asdict(fast.times)
+    assert st.keys() == ft.keys()
     for key in st:
-        assert close(st[key], bt[key]), f"times.{key}"
-    assert scalar.events.keys() == batched.events.keys()
+        assert close(st[key], ft[key]), f"times.{key}"
+    assert scalar.events.keys() == fast.events.keys()
     for key in scalar.events:
-        assert close(scalar.events[key], batched.events[key]), f"events[{key}]"
-    assert close(scalar.spin_fraction, batched.spin_fraction)
-    assert close(scalar.blocked_fraction, batched.blocked_fraction)
-    assert close(scalar.mem_latency_mult, batched.mem_latency_mult)
-    assert close(scalar.mem_utilization, batched.mem_utilization)
-    assert close(scalar.per_thread_ipc, batched.per_thread_ipc)
-    assert close(scalar.dispatch_held_fraction, batched.dispatch_held_fraction)
+        assert close(scalar.events[key], fast.events[key]), f"events[{key}]"
+    assert close(scalar.spin_fraction, fast.spin_fraction)
+    assert close(scalar.blocked_fraction, fast.blocked_fraction)
+    assert close(scalar.mem_latency_mult, fast.mem_latency_mult)
+    assert close(scalar.mem_utilization, fast.mem_utilization)
+    assert close(scalar.per_thread_ipc, fast.per_thread_ipc)
+    assert close(scalar.dispatch_held_fraction, fast.dispatch_held_fraction)
 
 
-def assert_catalogs_match(scalar_runs, batched_runs):
-    assert scalar_runs.levels() == batched_runs.levels()
-    assert set(scalar_runs.names()) == set(batched_runs.names())
+def assert_catalogs_match(scalar_runs, fast_runs):
+    assert scalar_runs.levels() == fast_runs.levels()
+    assert set(scalar_runs.names()) == set(fast_runs.names())
     for name, by_level in scalar_runs.runs.items():
         for level, scalar in by_level.items():
-            assert_run_matches(scalar, batched_runs.runs[name][level])
+            assert_run_matches(scalar, fast_runs.runs[name][level])
 
 
 @pytest.fixture(scope="module")
@@ -63,20 +65,22 @@ def scalar_runs():
 
 
 class TestBatchedCatalog:
+    """Whole-catalog sweeps on ``run_catalog``'s default strategy."""
+
     def test_matches_scalar_engine(self, scalar_runs):
-        batched = run_catalog(
+        runs = run_catalog(
             p7_system(), subset(), (1, 2, 4), seed=5, use_cache=False
         )
-        assert_catalogs_match(scalar_runs, batched)
+        assert_catalogs_match(scalar_runs, runs)
 
     def test_nehalem_matches(self):
         names = ("EP", "Equake", "SSCA2")
         sub = {n: all_workloads()[n] for n in names}
         scalar = run_catalog(nehalem_system(), sub, (1, 2), strategy="serial", seed=5)
-        batched = run_catalog(
+        runs = run_catalog(
             nehalem_system(), sub, (1, 2), seed=5, use_cache=False
         )
-        assert_catalogs_match(scalar, batched)
+        assert_catalogs_match(scalar, runs)
 
     def test_cache_round_trip(self, scalar_runs, tmp_path):
         cache = RunCache(tmp_path / "rc")
@@ -117,26 +121,23 @@ class TestBatchedCatalog:
         run_catalog(p7_system(), sub, (1,), seed=6, cache=cache)
         assert len(cache) == 2
 
-    def test_jobs_path_matches(self, scalar_runs):
-        batched = run_catalog(
-            p7_system(), subset(), (1, 2, 4), strategy="parallel",
-            seed=5, use_cache=False, jobs=2,
-        )
-        assert_catalogs_match(scalar_runs, batched)
-
 
 class TestExplicitStrategies:
-    @pytest.mark.parametrize("strategy", ["batched", "columnar"])
-    def test_exact_strategies_match_scalar(self, scalar_runs, strategy):
+    def test_exact_strategies_match_scalar(self, scalar_runs):
         runs = run_catalog(
-            p7_system(), subset(), (1, 2, 4), strategy=strategy,
+            p7_system(), subset(), (1, 2, 4), strategy="columnar",
             seed=5, use_cache=False,
         )
         assert_catalogs_match(scalar_runs, runs)
 
+    def test_strategy_options_are_the_three_engines(self):
+        assert Strategy.options() == ("columnar", "surrogate", "serial")
+
     def test_unknown_strategy_raises(self):
-        with pytest.raises(ValueError, match="unknown strategy"):
-            run_catalog(p7_system(), subset(), (1,), strategy="bogus")
+        # The removed engines are unknown now, like any typo.
+        for strategy in ("bogus", "batched", "parallel"):
+            with pytest.raises(ValueError, match="unknown strategy"):
+                run_catalog(p7_system(), subset(), (1,), strategy=strategy)
 
     def test_surrogate_results_never_enter_the_exact_cache(self, tmp_path):
         from repro.obs import configure

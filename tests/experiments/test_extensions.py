@@ -3,8 +3,10 @@
 import pytest
 
 from repro.experiments import (
+    armsmt_transfer,
     batch_scheduler,
     coschedule_symbiosis,
+    hetero_biglittle,
     offline_vs_online,
     online_optimizer,
     priority_shielding,
@@ -129,3 +131,13 @@ class TestOnlineOptimizerExperiment:
         assert result.adaptive_wall < result.static_walls[4] * 0.8
         assert result.adaptive.n_switches >= 1
         assert "adaptive" in result.render()
+
+
+class TestTransferValidity:
+    def test_threshold_is_valid_is_a_plain_bool(self):
+        # The golden snapshots compare values and their JSON types, so a
+        # numpy bool here fails the armsmt01/hetero01 goldens.
+        assert type(armsmt_transfer.run().threshold_is_valid()) is bool
+        hetero = hetero_biglittle.run()
+        for cluster in hetero.scatters:
+            assert type(hetero.threshold_is_valid(cluster)) is bool

@@ -1,60 +1,10 @@
-"""Recovery tests for the resilient parallel sweep runner.
-
-Acceptance: injected worker crashes and hangs are recovered and the
-sweep result is *identical* to a fault-free run.
-"""
-
-import dataclasses
+"""The bounded-retry policy the serve worker dispatch is configured with."""
 
 import pytest
 
-from repro.experiments.runner import (
-    RetryPolicy,
-    _simulate_parallel,
-    run_catalog,
-)
-from repro.experiments.systems import p7_system
-from repro.faults import WorkerFaultPlan
-from repro.obs import configure
-from repro.sim.engine import RunSpec, simulate_run
-from repro.workloads.catalog import all_workloads
+from repro.faults import RetryPolicy
 
 pytestmark = pytest.mark.faults
-
-FAST = RetryPolicy(task_timeout_s=5.0, max_retries=2, backoff_s=0.01)
-
-
-@pytest.fixture(scope="module")
-def specs():
-    system = p7_system()
-    names = ("EP", "Equake", "SPECjbb_contention", "SSCA2")
-    workloads = all_workloads()
-    return [
-        RunSpec(system, 4, workloads[n].stream, workloads[n].sync, seed=5)
-        for n in names
-    ]
-
-
-@pytest.fixture(scope="module")
-def clean(specs):
-    return [simulate_run(s) for s in specs]
-
-
-def assert_results_equal(a, b):
-    assert a.smt_level == b.smt_level
-    assert a.n_threads == b.n_threads
-    assert dataclasses.asdict(a.times) == dataclasses.asdict(b.times)
-    assert dict(a.events) == dict(b.events)
-    assert a.per_thread_ipc == b.per_thread_ipc
-
-
-@pytest.fixture
-def tracer():
-    t = configure(enabled=True)
-    t.reset()
-    yield t
-    configure(enabled=False)
-    t.reset()
 
 
 class TestRetryPolicy:
@@ -72,68 +22,3 @@ class TestRetryPolicy:
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             RetryPolicy(**bad)
-
-
-class TestCrashRecovery:
-    def test_crashed_task_retried_and_identical(self, specs, clean, tracer):
-        plan = WorkerFaultPlan(crash_indices=(1,))
-        results = _simulate_parallel(specs, 2, policy=FAST, fault_hook=plan)
-        for got, want in zip(results, clean):
-            assert_results_equal(got, want)
-        counters = tracer.counters()
-        assert counters.get("runner.task_errors", 0) >= 1
-        assert counters.get("runner.recovered_tasks", 0) >= 1
-
-    def test_hung_worker_detected_and_identical(self, specs, clean, tracer):
-        plan = WorkerFaultPlan(hang_indices=(2,), hang_s=60.0)
-        policy = RetryPolicy(task_timeout_s=1.0, max_retries=2, backoff_s=0.01)
-        results = _simulate_parallel(specs, 2, policy=policy, fault_hook=plan)
-        for got, want in zip(results, clean):
-            assert_results_equal(got, want)
-        counters = tracer.counters()
-        assert counters.get("runner.task_timeouts", 0) >= 1
-        assert counters.get("runner.recovered_tasks", 0) >= 1
-
-    def test_hard_crash_recovered_via_timeout(self, specs, clean, tracer):
-        # os._exit kills the worker without reporting; the pool restarts
-        # the process but the task is lost — only the per-task timeout
-        # can notice.
-        plan = WorkerFaultPlan(crash_indices=(0,), hard=True)
-        policy = RetryPolicy(task_timeout_s=1.5, max_retries=2, backoff_s=0.01)
-        results = _simulate_parallel(specs, 2, policy=policy, fault_hook=plan)
-        for got, want in zip(results, clean):
-            assert_results_equal(got, want)
-        assert tracer.counters().get("runner.task_timeouts", 0) >= 1
-
-    def test_persistent_crash_falls_back_in_process(self, specs, clean, tracer):
-        # A task that fails every attempt exhausts its retries and is
-        # recomputed in-process: the sweep still completes, identically.
-        plan = WorkerFaultPlan(crash_indices=(3,), fault_attempts=99)
-        results = _simulate_parallel(specs, 2, policy=FAST, fault_hook=plan)
-        for got, want in zip(results, clean):
-            assert_results_equal(got, want)
-        assert tracer.counters().get("runner.serial_fallbacks", 0) >= 1
-
-
-class TestCatalogIntegration:
-    def test_catalog_sweep_survives_worker_faults(self, tracer):
-        system = p7_system()
-        workloads = all_workloads()
-        subset = {n: workloads[n] for n in ("EP", "Equake", "SSCA2")}
-        baseline = run_catalog(system, subset, (1, 4), seed=5,
-                               use_cache=False)
-        plan = WorkerFaultPlan(crash_indices=(0, 4))
-        faulted = run_catalog(
-            system, subset, (1, 4), strategy="parallel", seed=5,
-            use_cache=False, jobs=2, retry_policy=FAST, fault_hook=plan,
-        )
-        assert faulted.failures == {}
-        assert set(faulted.names()) == set(baseline.names())
-        for name in baseline.names():
-            for level in (1, 4):
-                got = faulted.runs[name][level]
-                want = baseline.runs[name][level]
-                assert got.wall_time_s == pytest.approx(
-                    want.wall_time_s, rel=1e-12
-                )
-                assert dict(got.events) == pytest.approx(dict(want.events))

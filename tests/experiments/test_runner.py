@@ -86,7 +86,7 @@ class TestScatterFromRuns:
 
 @pytest.fixture
 def broken_equake(monkeypatch):
-    """Force the batch path down the salvage loop and fail one workload."""
+    """Force the columnar path down the salvage loop and fail one workload."""
     real_simulate_run = runner_mod.simulate_run
     specs = all_workloads()
     subset = {n: specs[n] for n in ("EP", "Equake", "SPECjbb_contention")}
@@ -99,7 +99,6 @@ def broken_equake(monkeypatch):
             raise RuntimeError("injected per-run failure")
         return real_simulate_run(spec)
 
-    monkeypatch.setattr(runner_mod, "simulate_many", batch_dies)
     monkeypatch.setattr(table_mod, "simulate_many_columnar", batch_dies)
     monkeypatch.setattr(runner_mod, "simulate_run", run_or_die)
     return subset
