@@ -1,15 +1,11 @@
 """Benchmark the full catalog sweep across every execution strategy.
 
 Times the complete POWER7 (28 workloads x SMT1/2/4) plus Nehalem
-(22 workloads x SMT1/2) sweeps through four paths:
+(22 workloads x SMT1/2) sweeps through three paths:
 
 * ``scalar``    — the reference engine, one ``simulate_run`` per spec;
 * ``columnar``  — ``run_catalog(strategy="columnar")``: the whole sweep
   lowered into one ``ScenarioTable`` per architecture, cache disabled;
-* ``surrogate`` — ``run_catalog(strategy="surrogate")``: the calibrated
-  fast path answers in-bound scenarios directly, the rest fall back to
-  the table solver (models are fit/loaded untimed first — calibration
-  is an offline step);
 * ``cached``    — the columnar strategy against a freshly populated
   run cache (warm rerun; no simulation at all).
 
@@ -21,7 +17,7 @@ and none a miss, or the warm speedup is mislabelled.
 Writes ``BENCH_sweep.json`` at the repo root with per-phase wall times,
 per-scenario latencies (seconds / n_runs), the headline speedups
 (each strategy vs scalar), and the telemetry-verified warm-cache hit
-and surrogate hit counts.
+counts.
 
     PYTHONPATH=src python scripts/bench_sweep.py [--repeats N]
 """
@@ -60,8 +56,7 @@ def sweeps():
 
 def reset_memo_state():
     # The serial-rate memo survives across calls; clear it so every
-    # timed phase starts from the same cold state.  Surrogate models
-    # are deliberately NOT cleared: calibration is an offline step.
+    # timed phase starts from the same cold state.
     engine._SERIAL_RATE_CACHE.clear()
 
 
@@ -111,22 +106,6 @@ def main(argv=None):
     columnar_s = timed(lambda: run_strategy("columnar"), args.repeats)
     report("columnar table (cold):", columnar_s, scalar_s)
 
-    # Fit/load the surrogate models untimed, then time steady-state use.
-    run_strategy("surrogate")
-    tracer = configure(enabled=True)
-    tracer.reset()
-    reset_memo_state()
-    run_strategy("surrogate")
-    surrogate_counters = tracer.counters()
-    configure(enabled=False)
-    tracer.reset()
-    surrogate_s = timed(lambda: run_strategy("surrogate"), args.repeats)
-    sur_hits = int(surrogate_counters.get("surrogate.hits", 0))
-    sur_falls = int(surrogate_counters.get("surrogate.fallbacks", 0))
-    report("surrogate (steady):", surrogate_s, scalar_s)
-    print(f"{'':22}surrogate answered {sur_hits}/{sur_hits + sur_falls} "
-          f"runs directly")
-
     with tempfile.TemporaryDirectory() as tmp:
         cache = RunCache(Path(tmp))
         reset_memo_state()
@@ -158,7 +137,6 @@ def main(argv=None):
     seconds = {
         "scalar": scalar_s,
         "columnar_cold": columnar_s,
-        "surrogate": surrogate_s,
         "columnar_cache_fill": populate_s,
         "warm_cache": warm_s,
     }
@@ -169,13 +147,7 @@ def main(argv=None):
         "per_run_seconds": {k: v / n_runs for k, v in seconds.items()},
         "speedup": {
             "columnar_vs_scalar": scalar_s / columnar_s,
-            "surrogate_vs_scalar": scalar_s / surrogate_s,
             "warm_cache_vs_scalar": scalar_s / warm_s,
-        },
-        "surrogate_telemetry": {
-            "hits": sur_hits,
-            "fallbacks": sur_falls,
-            "hit_rate": sur_hits / max(sur_hits + sur_falls, 1),
         },
         "warm_cache_telemetry": {
             "hits": hits,

@@ -19,10 +19,7 @@ run cache, threshold) and amortizes it across calls: the fitted
 per-architecture predictor and the underlying run cache are reused, and
 :meth:`Session.predict_many` pushes any number of concurrent queries
 through one columnar :class:`repro.sim.table.ScenarioTable` solve —
-the entry point the service's micro-batcher dispatches to.  Sessions
-built with ``surrogate=True`` route that batch through the calibrated
-:mod:`repro.sim.surrogate` fast path instead, falling back to the full
-solver for out-of-calibration rows.
+the entry point the service's micro-batcher dispatches to.
 
 Everything here is re-exported at top level (``from repro import
 Session, predict, ...``); ``docs/api.md`` documents this surface and
@@ -161,7 +158,6 @@ class Session:
         use_cache: Optional[bool] = None,
         threshold: Optional[float] = None,
         threshold_method: str = "gini",
-        surrogate: bool = False,
     ):
         self.system = resolve_system(arch, n_chips)
         self.seed = seed
@@ -172,7 +168,6 @@ class Session:
         self._cache = RunCache() if self.use_cache else None
         self.threshold = threshold
         self.threshold_method = threshold_method
-        self.surrogate = bool(surrogate)
         self._predictors: Dict[Tuple[int, int, int], SmtPredictor] = {}
         self._fit_runs: Optional[CatalogRuns] = None
 
@@ -238,11 +233,7 @@ class Session:
         """Cache-aware batched simulation of arbitrary run specs.
 
         The missing-spec batch is lowered into one columnar
-        :class:`~repro.sim.table.ScenarioTable` solve; in surrogate mode
-        the calibrated fast path answers in-bound rows directly and only
-        out-of-calibration rows fall back to the full solver.  Surrogate
-        answers are approximate, so they are never written back to the
-        exact run cache.
+        :class:`~repro.sim.table.ScenarioTable` solve.
         """
         results: List[Optional[RunResult]] = [None] * len(specs)
         missing: List[int] = []
@@ -254,17 +245,11 @@ class Session:
         else:
             missing = list(range(len(specs)))
         if missing:
-            todo = [specs[i] for i in missing]
-            if self.surrogate:
-                from repro.sim.surrogate import simulate_many_surrogate
-                fresh, hits = simulate_many_surrogate(todo)
-            else:
-                from repro.sim.table import simulate_many_columnar
-                fresh = simulate_many_columnar(todo)
-                hits = [False] * len(todo)
-            for pos, (i, result) in enumerate(zip(missing, fresh)):
+            from repro.sim.table import simulate_many_columnar
+            fresh = simulate_many_columnar([specs[i] for i in missing])
+            for i, result in zip(missing, fresh):
                 results[i] = result
-                if self._cache is not None and not hits[pos]:
+                if self._cache is not None:
                     self._cache.put(specs[i], result)
         return results  # type: ignore[return-value]
 
@@ -426,20 +411,17 @@ def get_session(
     use_cache: Optional[bool] = None,
     threshold: Optional[float] = None,
     threshold_method: str = "gini",
-    surrogate: bool = False,
 ) -> Session:
     """A shared :class:`Session` for this configuration (created once)."""
     key = (
         arch if isinstance(arch, str) else (arch.arch.name, arch.n_chips),
         n_chips, seed, work, use_cache, threshold, threshold_method,
-        surrogate,
     )
     session = _SESSIONS.get(key)
     if session is None:
         session = _SESSIONS[key] = Session(
             arch, n_chips=n_chips, seed=seed, work=work, use_cache=use_cache,
             threshold=threshold, threshold_method=threshold_method,
-            surrogate=surrogate,
         )
     return session
 
@@ -524,9 +506,8 @@ def simulate_fleet(
         result.throughput_jobs_s, result.latency_p95_s
 
     ``policy`` takes a :class:`Policy` member or any registered policy
-    name (:func:`list_policies`); ``strategy`` must be a batch-capable
-    :class:`Strategy` (``columnar`` or ``surrogate``) — the fleet's
-    per-(arch, workload, level) reference space is solved as one
-    mega-batch before the event loop starts.
+    name (:func:`list_policies`).  The fleet's per-(arch, workload,
+    level) reference space is solved as one columnar mega-batch before
+    the event loop starts.
     """
     return _simulate_fleet(config, **overrides)

@@ -173,7 +173,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             ("chips", args.chips), ("jobs", args.jobs),
             ("policy", args.policy), ("severity", args.severity),
             ("seed", args.seed), ("arch_mix", arch_mix),
-            ("strategy", args.strategy), ("load", args.load),
+            ("load", args.load),
             ("arrival", args.arrival), ("mix", args.mix),
             ("workloads", args.workloads),
             ("queue_depth", args.queue_depth),
@@ -194,8 +194,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         )
         print(
             f"fleet: {result.n_nodes} chips ({counts}), "
-            f"policy={config.policy}, severity={config.severity}, "
-            f"strategy={config.strategy}"
+            f"policy={config.policy}, severity={config.severity}"
         )
         print(
             f"jobs: submitted={result.jobs_submitted} "
@@ -287,7 +286,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         hot_cache_size=args.hot_cache_size,
         hang_timeout_s=args.hang_timeout_s,
         chaos=chaos,
-        brownout=not args.no_brownout,
         session=session,
     )
     # In-process telemetry so the settlement line below is always
@@ -484,8 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "to their clusters")
     p.add_argument("--nodes", default=None, metavar="MIX",
                    help="alias for --arch-mix, e.g. 'power7:2,armsmt:2'")
-    p.add_argument("--strategy", default=None,
-                   help="mega-batch engine: columnar or surrogate")
     p.add_argument("--load", type=float, default=None,
                    help="offered load vs max-level capacity (default 1.05)")
     p.add_argument("--arrival", default=None,
@@ -544,10 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="inject worker faults (pool mode): a preset "
                         "('worker_hang'), 'severity=0.4', or "
                         "'hang=0.02,crash=0.04,slow=0.2,corrupt=0.1,seed=7'")
-    p.add_argument("--no-brownout", action="store_true",
-                   help="shed with hard overloaded errors instead of "
-                        "degraded (surrogate) answers under sustained "
-                        "overload")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
@@ -581,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--invariants", action="store_true",
                    help="simulator physics invariants over a catalog sweep")
     p.add_argument("--differential", action="store_true",
-                   help="serial vs columnar/surrogate/cache/predict_many")
+                   help="serial vs columnar/cache/predict_many")
     p.add_argument("--goldens", action="store_true",
                    help="compare figure summaries to tests/goldens/")
     p.add_argument("--fuzz", action="store_true",

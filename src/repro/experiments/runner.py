@@ -9,9 +9,9 @@ SMT1/2/4, and speedups compare completion of the *same work*.
 caches the runs; every scatter figure (6, 8-15) is then a cheap
 projection: pick the measurement level for the metric and a level pair
 for the speedup.  One entry point covers every execution strategy:
-``run_catalog(arch_or_system, ..., strategy="columnar"|"surrogate"|
-"serial")`` — the columnar scenario-table engine (default), the
-calibrated surrogate fast path, or the scalar reference loop.
+``run_catalog(arch_or_system, ..., strategy="columnar"|"serial")`` —
+the columnar scenario-table engine (default) or the scalar reference
+loop.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ class Strategy(ValidatedStrEnum):
     """
 
     COLUMNAR = "columnar"
-    SURROGATE = "surrogate"
     SERIAL = "serial"
 
 
@@ -201,26 +200,19 @@ def run_catalog(
     the architecture's SMT levels.
 
     ``strategy`` selects how the runs execute; all of them produce the
-    same :class:`CatalogRuns` (to floating-point round-off; the
-    surrogate to its verified error bound):
+    same :class:`CatalogRuns` (to floating-point round-off):
 
     * ``"columnar"`` (default) — the whole sweep lowered into one
       struct-of-arrays :class:`repro.sim.table.ScenarioTable` per
       architecture and solved with whole-table numpy ops
       (:func:`repro.sim.table.simulate_many_columnar`);
-    * ``"surrogate"`` — the calibrated fast path
-      (:func:`repro.sim.surrogate.simulate_many_surrogate`): verified
-      regression warm starts answer confident runs, the rest fall back
-      to the columnar solver.  Surrogate-answered results are *not*
-      written to the run cache (they carry a bounded approximation,
-      the cache stores exact solver output);
     * ``"serial"`` — the scalar reference loop, one
       :func:`simulate_run` per spec with a nested ``run`` span each
       (the source of ``repro stats``' slowest-runs table).
 
     ``use_cache``/``cache`` control the persistent run cache: hits skip
     simulation entirely, misses are simulated and stored.  For the
-    columnar and surrogate strategies the default honours the
+    columnar strategy the default honours the
     ``REPRO_RUNCACHE`` environment switch; the serial strategy is the
     uncached reference path unless a ``cache`` is passed explicitly.
 
@@ -289,22 +281,14 @@ def run_catalog(
                                 failed[missing[idx]] = f"{type(exc).__name__}: {exc}"
                                 tracer.add("runner.failed_runs")
                 else:
-                    surrogate_hits: List[bool] = [False] * len(todo)
                     try:
-                        if strategy == "surrogate":
-                            from repro.sim.surrogate import simulate_many_surrogate
+                        from repro.sim.table import simulate_many_columnar
 
-                            fresh, surrogate_hits = simulate_many_surrogate(todo)
-                            fresh = list(fresh)
-                        else:
-                            from repro.sim.table import simulate_many_columnar
-
-                            fresh = list(simulate_many_columnar(todo))
+                        fresh = list(simulate_many_columnar(todo))
                     except Exception:
                         # One bad spec must not abort the whole sweep:
                         # salvage run-by-run and report the casualties.
                         fresh = []
-                        surrogate_hits = [False] * len(todo)
                         for idx, spec in zip(missing, todo):
                             try:
                                 fresh.append(simulate_run(spec))
@@ -312,14 +296,9 @@ def run_catalog(
                                 fresh.append(None)
                                 failed[idx] = f"{type(exc).__name__}: {exc}"
                                 tracer.add("runner.failed_runs")
-                for pos, (i, result) in enumerate(zip(missing, fresh)):
+                for i, result in zip(missing, fresh):
                     results[i] = result
-                    if (
-                        result is not None
-                        and use_cache
-                        and cache is not None
-                        and not surrogate_hits[pos]
-                    ):
+                    if result is not None and use_cache and cache is not None:
                         cache.put(specs[i], result)
         if failed:
             sweep.set(failed_runs=len(failed))

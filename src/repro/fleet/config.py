@@ -1,8 +1,8 @@
 """Fleet simulation configuration.
 
 One frozen dataclass carries every knob of the simulated datacenter:
-fleet composition, trace shape, scheduling policy, fault severity and
-the engine strategy the mega-batch solve uses.  Every scalar field is
+fleet composition, trace shape, scheduling policy and fault severity.
+Every scalar field is
 overridable from ``REPRO_FLEET_<FIELD>`` environment variables through
 the shared :func:`repro.util.config.dataclass_from_env` helper — the
 same machinery :class:`repro.serve.ServeConfig` uses for
@@ -73,7 +73,6 @@ class FleetConfig:
     jobs: int = 2000                    # trace length
     arch_mix: str = "power7"            # see parse_arch_mix()
     policy: str = "smtsm"               # placement policy name
-    strategy: str = "columnar"          # mega-batch engine: columnar|surrogate
     seed: int = 11                      # root of every RNG stream
     severity: float = 0.0               # repro.faults noise_profile severity
     arrival: str = "poisson"            # arrival process: poisson|uniform

@@ -4,7 +4,7 @@
 
 1. expands the arch-mix spec into one node per chip;
 2. solves the whole ``arch x workload x level`` space in **one**
-   columnar/surrogate mega-batch (:mod:`repro.fleet.perfmodel`) — the
+   columnar mega-batch (:mod:`repro.fleet.perfmodel`) — the
    event loop itself never touches the chip solver, which is what
    keeps a 1000-chip x 100k-job run tractable;
 3. calibrates the arrival rate to ``load x`` the fleet's max-level
@@ -34,11 +34,7 @@ from repro.core.robust import HardenedConfig, HardenedController
 from repro.faults.model import noise_profile
 from repro.fleet.config import FleetConfig, parse_arch_mix
 from repro.fleet.node import Node
-from repro.fleet.perfmodel import (
-    FLEET_STRATEGIES,
-    FleetPerfModel,
-    get_perf_model,
-)
+from repro.fleet.perfmodel import FleetPerfModel, get_perf_model
 from repro.fleet.policy import PlacementPolicy, make_policy
 from repro.fleet.trace import Job, generate_trace, mean_job_size, mix_weights
 from repro.obs import get_tracer
@@ -132,7 +128,6 @@ class FleetResult:
         (bit-identical across runs of the same seed + config)."""
         return {
             "policy": self.config.policy,
-            "strategy": self.config.strategy,
             "severity": self.config.severity,
             "seed": self.config.seed,
             "chips": self.config.chips,
@@ -195,22 +190,11 @@ class FleetScheduler:
     """One simulation run: owns nodes, policy, bank, and the event heap."""
 
     def __init__(self, config: FleetConfig):
-        strategy = str(config.strategy)
-        if strategy not in FLEET_STRATEGIES:
-            # Route through the Strategy enum for the self-diagnosing
-            # error, then reject batch-incapable strategies explicitly.
-            from repro.experiments.runner import Strategy
-
-            Strategy.parse(strategy)
-            raise ValueError(
-                f"fleet runs mega-batches; strategy must be one of "
-                f"{FLEET_STRATEGIES}, got {strategy!r}"
-            )
         self.config = config
         self.workload_names = config.workload_names()
         self.node_archs = _expand_arch_mix(config.arch_mix, config.chips)
         arch_names = tuple(dict.fromkeys(self.node_archs))  # stable unique
-        self.model = get_perf_model(arch_names, self.workload_names, strategy)
+        self.model = get_perf_model(arch_names, self.workload_names)
 
         self.rng = RngStream(config.seed, ("fleet",))
         fault_config = noise_profile(config.severity)

@@ -31,6 +31,7 @@ from __future__ import annotations
 import atexit
 import os
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
@@ -107,12 +108,14 @@ NULL_SPAN = _NullSpan()
 class Span:
     """An open timing span; use as a context manager via :meth:`Tracer.span`.
 
-    Nesting is tracked on the owning tracer's stack: the span's path is
-    its parent's path plus its own name, so a sweep's trace reads as a
-    tree without the call sites passing any context around.
+    Nesting follows the owning tracer's current span in the running
+    :mod:`contextvars` context: the span's path is its parent's path plus
+    its own name, so a sweep's trace reads as a tree without the call
+    sites passing any context around, while spans opened by concurrent
+    asyncio tasks or threads stay siblings instead of nesting.
     """
 
-    __slots__ = ("_tracer", "name", "attrs", "path", "depth", "_t0")
+    __slots__ = ("_tracer", "name", "attrs", "path", "depth", "_t0", "_token")
 
     def __init__(self, tracer: "Tracer", name: str, attrs: Dict[str, Any]):
         self._tracer = tracer
@@ -121,6 +124,7 @@ class Span:
         self.path = name
         self.depth = 0
         self._t0 = 0.0
+        self._token = None
 
     def set(self, **attrs) -> "Span":
         """Attach attributes discovered while the span is open."""
@@ -128,22 +132,18 @@ class Span:
         return self
 
     def __enter__(self) -> "Span":
-        stack = self._tracer._stack
-        if stack:
-            parent = stack[-1]
+        current = self._tracer._current
+        parent = current.get()
+        if parent is not None:
             self.path = f"{parent.path}/{self.name}"
             self.depth = parent.depth + 1
-        stack.append(self)
+        self._token = current.set(self)
         self._t0 = self._tracer._clock()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         duration = self._tracer._clock() - self._t0
-        stack = self._tracer._stack
-        if stack and stack[-1] is self:
-            stack.pop()
-        elif self in stack:  # mis-nested exit; drop back to this frame
-            del stack[stack.index(self):]
+        self._tracer._current.reset(self._token)
         self._tracer._finish(self, duration)
         return False
 
@@ -170,7 +170,10 @@ class Tracer:
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
         self._spans: List[SpanRecord] = []
-        self._stack: List[Span] = []
+        #: The innermost open span of this tracer in the running context.
+        self._current: ContextVar[Optional[Span]] = ContextVar(
+            "repro.obs.current_span", default=None
+        )
 
     # -- recording ----------------------------------------------------
 

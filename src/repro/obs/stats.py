@@ -91,8 +91,7 @@ class TelemetrySummary:
         """Serving supervision/degradation totals, or ``None`` when quiet.
 
         Collects the chaos (``serve.chaos.*``), watchdog
-        (``serve.watchdog.*``), brownout (``serve.brownout.*``) and
-        resilient-client (``client.*``) counters the robustness plane
+        (``serve.watchdog.*``) and resilient-client (``client.*``) counters the robustness plane
         emits; ``None`` when none of them ever fired (healthy serving
         run, or no serving at all).
         """
@@ -105,9 +104,6 @@ class TelemetrySummary:
             "deadline_abandoned": "serve.worker.deadline_abandoned",
             "corrupt_responses": "serve.worker.corrupt_responses",
             "close_leaks": "serve.worker.close_leaks",
-            "brownout_activations": "serve.brownout.activations",
-            "brownout_degraded": "serve.brownout.degraded",
-            "brownout_rejections": "serve.brownout.rejections",
             "client_retries": "client.retries",
             "client_reconnects": "client.reconnects",
             "client_hedges": "client.hedges",
@@ -304,9 +300,6 @@ def render_summary(summary: TelemetrySummary, top: int = 10) -> str:
                         f"{supervision['deadline_abandoned']:g} "
                         f"corrupt_responses={supervision['corrupt_responses']:g} "
                         f"close_leaks={supervision['close_leaks']:g}"],
-            ["brownout", f"activations={supervision['brownout_activations']:g} "
-                         f"degraded={supervision['brownout_degraded']:g} "
-                         f"rejections={supervision['brownout_rejections']:g}"],
             ["client", f"retries={supervision['client_retries']:g} "
                        f"reconnects={supervision['client_reconnects']:g} "
                        f"hedges={supervision['client_hedges']:g} "

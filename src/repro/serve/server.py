@@ -32,11 +32,6 @@ in-process executor (``workers=1``) or a sharded process pool
   pool's restart budget; request deadlines propagate into the workers.
   Chaos injection (``ServeConfig.chaos`` / ``REPRO_SERVE_CHAOS``) tests
   all of it — see :mod:`repro.faults.chaos`.
-* **Brownout** (:mod:`repro.serve.brownout`): under *sustained*
-  overload or full quarantine, eligible requests are answered by the
-  surrogate fast path (flagged ``degraded: true``) instead of shed —
-  availability traded against fidelity, bounded by
-  ``brownout_max_inflight``.
 * **Graceful drain** (:meth:`PredictionServer.stop`): stop accepting
   connections, answer new requests with ``shutting_down``, let every
   admitted request finish and flush, then close.
@@ -58,7 +53,6 @@ from repro.faults.retry import RetryPolicy
 from repro.obs import get_tracer
 from repro.serve import handlers
 from repro.serve.batching import BatcherClosed, MicroBatcher, QueueFull
-from repro.serve.brownout import BrownoutGate, DegradedResponder
 from repro.serve import protocol
 from repro.serve.protocol import (
     ERR_CANCELLED,
@@ -127,13 +121,6 @@ class ServeConfig:
     #: inside the pool's workers (None also checks ``REPRO_SERVE_CHAOS``).
     #: Pool mode only — single-process servers have no fleet to chaos.
     chaos: Optional[ChaosConfig] = None
-    #: Brownout degradation: when overload signals persist for
-    #: ``brownout_hold_s``, eligible requests are answered degraded
-    #: (surrogate fast path, ``degraded: true``) instead of shed, at
-    #: most ``brownout_max_inflight`` at a time.
-    brownout: bool = True
-    brownout_hold_s: float = 5.0
-    brownout_max_inflight: int = 4
     retry_policy: RetryPolicy = field(
         default_factory=lambda: RetryPolicy(
             task_timeout_s=300.0, max_retries=1, backoff_s=0.01
@@ -176,15 +163,6 @@ class ServeConfig:
         if self.quarantine_base_s <= 0:
             raise ValueError(
                 f"quarantine_base_s must be > 0, got {self.quarantine_base_s}"
-            )
-        if self.brownout_hold_s < 0:
-            raise ValueError(
-                f"brownout_hold_s must be >= 0, got {self.brownout_hold_s}"
-            )
-        if self.brownout_max_inflight < 1:
-            raise ValueError(
-                "brownout_max_inflight must be >= 1, "
-                f"got {self.brownout_max_inflight}"
             )
 
     @classmethod
@@ -229,8 +207,6 @@ class PredictionServer:
         self._pool: Optional[WorkerPool] = None
         self._hot_cache: Optional[HotKeyCache] = None
         self._watchdog: Optional[WorkerWatchdog] = None
-        self._brownout_gate: Optional[BrownoutGate] = None
-        self._degraded: Optional[DegradedResponder] = None
         self._draining = False
         self._stopped = asyncio.Event()
         self._connections: set = set()
@@ -281,11 +257,6 @@ class PredictionServer:
                 retry_policy=config.retry_policy,
                 executor=self._executor,
             )
-        if config.brownout:
-            self._brownout_gate = BrownoutGate(config.brownout_hold_s)
-            self._degraded = DegradedResponder(
-                config.session, max_inflight=config.brownout_max_inflight
-            )
         self._batcher.start()
         self._server = await asyncio.start_server(
             self._handle_connection, config.host, config.port
@@ -326,9 +297,6 @@ class PredictionServer:
                 None, self._pool.close
             )
             self._pool = None
-        if self._degraded is not None:
-            self._degraded.close()
-            self._degraded = None
         self._server = None
         self._stopped.set()
         get_tracer().add("serve.stops")
@@ -402,14 +370,14 @@ class PredictionServer:
                 key = handlers.batch_key(request.op, request.params)
                 if self._pool is not None and self._pool.all_quarantined():
                     await self._shed(
-                        request, out_q, delivery_tasks,
+                        request, out_q,
                         "all workers quarantined; back off and retry",
                         extra_counter="serve.worker.shed",
                     )
                     continue
                 if self._pool is not None and self._pool.overloaded(key):
                     await self._shed(
-                        request, out_q, delivery_tasks,
+                        request, out_q,
                         "routed worker queue too deep; back off and retry",
                         extra_counter="serve.worker.shed",
                     )
@@ -423,7 +391,7 @@ class PredictionServer:
                     )
                 except QueueFull:
                     await self._shed(
-                        request, out_q, delivery_tasks,
+                        request, out_q,
                         "admission queue full; back off and retry",
                     )
                     continue
@@ -463,27 +431,10 @@ class PredictionServer:
             self._connections.discard(task)
 
     async def _shed(self, request: Request, out_q: "asyncio.Queue",
-                    delivery_tasks: set, message: str,
+                    message: str,
                     extra_counter: Optional[str] = None) -> None:
-        """One would-be rejection: degrade it if brownout allows, else shed.
-
-        Every call signals the brownout gate; once overload has been
-        sustained past ``brownout_hold_s``, eligible requests are
-        answered through the degraded lane (bypassing admission, like
-        hot-cache hits) and everything else sheds with ``overloaded`` +
-        ``retry_after_ms`` exactly as before.
-        """
+        """Reject one request with ``overloaded`` + ``retry_after_ms``."""
         tracer = get_tracer()
-        if self._degraded is not None and self._brownout_gate.signal():
-            if self._degraded.eligible(request.op):
-                if self._degraded.try_reserve():
-                    deliver = asyncio.get_running_loop().create_task(
-                        self._deliver_degraded(request, out_q)
-                    )
-                    delivery_tasks.add(deliver)
-                    deliver.add_done_callback(delivery_tasks.discard)
-                    return
-                tracer.add("serve.brownout.rejections")
         tracer.add("serve.rejections")
         if extra_counter is not None:
             tracer.add(extra_counter)
@@ -491,34 +442,6 @@ class PredictionServer:
             request.id, ERR_OVERLOADED, message,
             retry_after_ms=self.config.retry_after_ms,
         ))
-
-    async def _deliver_degraded(self, request: Request,
-                                out_q: "asyncio.Queue") -> None:
-        """Answer one request through the degraded (surrogate) lane."""
-        tracer = get_tracer()
-        try:
-            result = await self._degraded.respond(request.params)
-        except asyncio.CancelledError:
-            tracer.add("serve.errors.cancelled")
-            await out_q.put(response_error(
-                request.id, ERR_CANCELLED, "request abandoned"
-            ))
-            return
-        except handlers.HandlerError as exc:
-            tracer.add("serve.errors.invalid_request")
-            await out_q.put(response_error(request.id, ERR_INVALID, str(exc)))
-            return
-        except Exception as exc:
-            tracer.add("serve.errors.internal")
-            await out_q.put(response_error(
-                request.id, ERR_INTERNAL,
-                f"{type(exc).__name__}: {exc}",
-                retry_after_ms=self.config.retry_after_ms,
-            ))
-            return
-        tracer.add("serve.brownout.degraded")
-        tracer.add("serve.responses")
-        await out_q.put(response_ok(request.id, result))
 
     def _deadline_t(self, request: Request) -> Optional[float]:
         deadline_ms = request.deadline_ms

@@ -20,7 +20,7 @@ Three properties the pool preserves:
 * **Affinity routing.**  A batch key is pinned to a preferred worker
   the first time it is seen (round-robin over workers), so repeated
   traffic for one system keeps hitting that worker's warm session
-  (fitted thresholds, surrogate models, serial-rate memo).  When the
+  (fitted thresholds, serial-rate memo).  When the
   preferred worker is busy and another is strictly less loaded, the
   group *spills* to the least-loaded worker (``serve.worker.spills``) —
   hot single-key traffic pipelines across the pool instead of queueing
@@ -454,7 +454,7 @@ class WorkerPool:
         """Workers routing may use: the healthy ones, or — when every
         worker is quarantined — all of them (serving degraded beats
         serving nothing; the server layer also sees
-        :meth:`all_quarantined` and sheds/brownouts upstream)."""
+        :meth:`all_quarantined` and sheds upstream)."""
         now = time.monotonic()
         healthy = [w for w in self._workers if not w.quarantined(now)]
         return healthy or self._workers

@@ -24,11 +24,6 @@ re-dispatched.  The arithmetic mirrors the scalar engine operation for
 operation, so results agree with :func:`repro.sim.engine.simulate_run`
 to floating-point round-off (the differential pillar pins <= 1e-9
 relative error).
-
-The table also exposes its converged fixed-point *state*
-(:class:`TableState`) so the calibrated surrogate
-(:mod:`repro.sim.surrogate`) can train on solver outputs and re-enter
-the shared finalization path when it answers a query directly.
 """
 
 from __future__ import annotations
@@ -68,8 +63,6 @@ class TableState:
     Per-core-row arrays hold the *reported* solution (the base solve for
     sync-free runs, the last spin iteration otherwise); per-run arrays
     hold the converged bandwidth multiplier, traffic, and spin state.
-    ``base_mult``/``base_traffic`` record the sync-free base phase — the
-    surrogate's training labels.
     """
 
     x_rows: np.ndarray            # (R,) per-thread IPC of the reported solution
@@ -77,15 +70,10 @@ class TableState:
     mult: np.ndarray              # (J,) converged memory-latency multiplier
     run_traffic: np.ndarray       # (J,) offered DRAM traffic, GB/s
     spin_final: np.ndarray        # (J,) reported spin fraction (after last update)
-    w_blend: np.ndarray           # (J,) blend weight of the reported solution
     useful_rate: np.ndarray       # (J,) useful instructions/s in the parallel phase
-    base_mult: np.ndarray         # (J,) base-phase multiplier (unblended mix)
-    base_traffic: np.ndarray      # (J,) base-phase traffic, GB/s
     sync_free: np.ndarray         # (J,) bool
-    spin0: np.ndarray             # (J,) direct busy-wait fraction
     runnable: np.ndarray          # (J,)
     blocked: np.ndarray           # (J,)
-    lock_cap: np.ndarray          # (J,)
 
 
 class _Sol:
@@ -254,9 +242,8 @@ class ScenarioTable:
 
     All specs must share one :class:`Architecture` *instance* (group by
     ``id(arch)`` first — :func:`simulate_many_columnar` does).  Build
-    once, then :meth:`run` drives the full fixed point and finalization,
-    or :meth:`run_with_state` additionally returns the converged
-    :class:`TableState` for surrogate calibration.
+    once, then :meth:`run` drives the full fixed point and finalization
+    (:meth:`drive` then :meth:`finalize`).
     """
 
     def __init__(self, specs: Sequence[RunSpec]):
@@ -479,10 +466,7 @@ class ScenarioTable:
         mult = np.zeros(J)
         run_traffic = np.zeros(J)
         spin_final = np.zeros(J)
-        w_blend = np.zeros(J)
         useful_rate = np.zeros(J)
-        base_mult = np.zeros(J)
-        base_traffic = np.zeros(J)
         sync_free = np.zeros(J, dtype=bool)
         spin0_a = np.zeros(J)
         runnable_a = np.zeros(J)
@@ -507,15 +491,12 @@ class ScenarioTable:
             blocked_a[j] = spec.sync.blocked_fraction(n)
             lock_cap_a[j] = lock_cap
             spin0_a[j] = spin0
-            base_mult[j] = base_mults[pos]
-            base_traffic[j] = base_sol.run_traffic[pos]
             if spin0 == 0.0 and math.isinf(lock_cap):
                 sync_free[j] = True
                 useful_rate[j] = ipc_sum[pos] * self.freq * runnable
                 mult[j] = base_mults[pos]
                 run_traffic[j] = base_sol.run_traffic[pos]
                 spin_final[j] = spin0
-                w_blend[j] = spin0
             else:
                 loop_local.append(pos)
                 spin_final[j] = spin0
@@ -541,8 +522,7 @@ class ScenarioTable:
             sol = None
             mults = None
             for _ in range(SPIN_ITERATIONS):
-                blend_w = spins
-                sol, mults = lview.chip_phase(blend_w)
+                sol, mults = lview.chip_phase(spins)
                 raw_rate = lview.thread_ipc_sum(sol) * self.freq
                 available = raw_rate * runnable
                 useful = np.minimum(available * (1.0 - spin0), lock_cap)
@@ -552,7 +532,6 @@ class ScenarioTable:
             mult[loop_idx] = mults
             run_traffic[loop_idx] = sol.run_traffic
             spin_final[loop_idx] = spins
-            w_blend[loop_idx] = blend_w
             useful_rate[loop_idx] = useful
 
         return TableState(
@@ -561,15 +540,10 @@ class ScenarioTable:
             mult=mult,
             run_traffic=run_traffic,
             spin_final=spin_final,
-            w_blend=w_blend,
             useful_rate=useful_rate,
-            base_mult=base_mult,
-            base_traffic=base_traffic,
             sync_free=sync_free,
-            spin0=spin0_a,
             runnable=runnable_a,
             blocked=blocked_a,
-            lock_cap=lock_cap_a,
         )
 
     # -- finalization --------------------------------------------------
@@ -729,11 +703,6 @@ class ScenarioTable:
         """Drive the fixed point and finalize, columnar end to end."""
         state = self.drive(run_idx)
         return self.finalize(state, run_idx)
-
-    def run_with_state(self) -> Tuple[List[RunResult], TableState]:
-        """Like :meth:`run` over all runs, also returning the state."""
-        state = self.drive()
-        return self.finalize(state), state
 
 
 def simulate_many_columnar(specs: Sequence[RunSpec]) -> List[RunResult]:

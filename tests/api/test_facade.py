@@ -155,6 +155,18 @@ class TestSweepDefaultStrategy:
         client.request = lambda op, params, deadline_ms=None: params
         assert "strategy" not in client.sweep(workloads=["EP"])
 
+    def test_wire_unknown_strategy_is_invalid_request(self):
+        from repro.serve import (
+            BackgroundServer, InvalidRequestError, ServeClient, ServeConfig,
+        )
+
+        config = ServeConfig(session={"use_cache": False})
+        with BackgroundServer(config) as bg, \
+                ServeClient(bg.host, bg.port) as client:
+            with pytest.raises(InvalidRequestError, match="surrogate"):
+                client.sweep(workloads=["EP"], levels=[1],
+                             strategy="surrogate")
+
 
 class TestScoreCounters:
     def test_matches_direct_metric(self, session):

@@ -1,6 +1,5 @@
 """The default (columnar) sweep must reproduce the serial reference and
-honour the run cache; the surrogate must stay within its bound and out
-of the exact cache."""
+honour the run cache."""
 
 import dataclasses
 
@@ -64,7 +63,7 @@ def scalar_runs():
     return run_catalog(p7_system(), subset(), (1, 2, 4), strategy="serial", seed=5)
 
 
-class TestBatchedCatalog:
+class TestColumnarCatalog:
     """Whole-catalog sweeps on ``run_catalog``'s default strategy."""
 
     def test_matches_scalar_engine(self, scalar_runs):
@@ -130,47 +129,11 @@ class TestExplicitStrategies:
         )
         assert_catalogs_match(scalar_runs, runs)
 
-    def test_strategy_options_are_the_three_engines(self):
-        assert Strategy.options() == ("columnar", "surrogate", "serial")
+    def test_strategy_options_are_the_two_engines(self):
+        assert Strategy.options() == ("columnar", "serial")
 
     def test_unknown_strategy_raises(self):
         # The removed engines are unknown now, like any typo.
-        for strategy in ("bogus", "batched", "parallel"):
+        for strategy in ("bogus", "batched", "parallel", "surrogate"):
             with pytest.raises(ValueError, match="unknown strategy"):
                 run_catalog(p7_system(), subset(), (1,), strategy=strategy)
-
-    def test_surrogate_results_never_enter_the_exact_cache(self, tmp_path):
-        from repro.obs import configure
-
-        tracer = configure(enabled=True)
-        tracer.reset()
-        try:
-            cache = RunCache(tmp_path / "rc")
-            run_catalog(
-                p7_system(), subset(), (1, 2, 4), strategy="surrogate",
-                seed=5, cache=cache,
-            )
-            counters = tracer.counters()
-        finally:
-            configure(enabled=False)
-            tracer.reset()
-        hits = counters.get("surrogate.hits", 0)
-        fallbacks = counters.get("surrogate.fallbacks", 0)
-        assert hits + fallbacks == len(SUBSET_NAMES) * 3
-        assert hits > 0, "surrogate must engage on catalog workloads"
-        # Approximate answers must not poison the exact run cache: only
-        # solver fallbacks may be persisted.
-        assert len(cache) == fallbacks
-
-    def test_surrogate_matches_scalar_within_bound(self, scalar_runs):
-        from repro.check.differential import compare_runs
-
-        runs = run_catalog(
-            p7_system(), subset(), (1, 2, 4), strategy="surrogate",
-            seed=5, use_cache=False,
-        )
-        for name, by_level in scalar_runs.runs.items():
-            for level, scalar in by_level.items():
-                diffs = compare_runs(scalar, runs.runs[name][level],
-                                     rel_tol=1e-2)
-                assert not diffs, (name, level, diffs)

@@ -108,8 +108,11 @@ class TestMixedFleet:
 
 
 class TestValidation:
-    def test_strategy_must_be_batchable(self):
-        with pytest.raises(ValueError, match="mega-batches"):
+    def test_strategy_is_not_a_knob(self):
+        # The perf model always solves one columnar mega-batch.
+        with pytest.raises(TypeError):
+            FleetConfig(strategy="columnar")
+        with pytest.raises(TypeError):
             simulate_fleet(chips=2, jobs=10, strategy="serial")
 
     def test_unknown_policy_lists_options(self):

@@ -1,5 +1,8 @@
 """Tracer unit behaviour: span nesting, counters, disabled no-op mode."""
 
+import asyncio
+import threading
+
 import pytest
 
 from repro.obs import (
@@ -85,9 +88,50 @@ class TestSpans:
             with tracer.span("boom"):
                 clock.tick(1.0)
                 raise RuntimeError("x")
-        (record,) = tracer.spans()
-        assert record.duration_s == pytest.approx(1.0)
-        assert tracer._stack == []
+        with tracer.span("after"):
+            pass
+        boom, after = tracer.spans()
+        assert boom.duration_s == pytest.approx(1.0)
+        assert (after.path, after.depth) == ("after", 0)
+
+    def test_gathered_tasks_open_sibling_spans(self, tracer):
+        async def batch(started, release):
+            with tracer.span("serve.batch"):
+                started.release()
+                await release.wait()
+
+        async def main():
+            started, release = asyncio.Semaphore(0), asyncio.Event()
+            tasks = [asyncio.ensure_future(batch(started, release))
+                     for _ in range(3)]
+            for _ in tasks:
+                await started.acquire()     # all three spans are open
+            release.set()
+            await asyncio.gather(*tasks)
+
+        asyncio.run(main())
+        assert [(r.path, r.depth) for r in tracer.spans()] == [
+            ("serve.batch", 0)] * 3
+
+    def test_spans_on_two_threads_do_not_nest(self, tracer):
+        both_open = threading.Barrier(2, timeout=10)
+
+        def work(name):
+            with tracer.span(name):
+                both_open.wait()
+                with tracer.span("solve"):
+                    pass
+                both_open.wait()
+
+        threads = [threading.Thread(target=work, args=(name,))
+                   for name in ("a", "b")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        depths = {(r.path, r.depth) for r in tracer.spans()}
+        assert depths == {("a", 0), ("b", 0), ("a/solve", 1), ("b/solve", 1)}
 
 
 class TestCountersAndGauges:

@@ -77,7 +77,7 @@ class TestResultAccounting:
 
 class TestStrategyAgreement:
     @pytest.mark.parametrize("seed", [0, 3, 11])
-    def test_serial_batched_columnar_agree(self, seed):
+    def test_serial_columnar_agree(self, seed):
         wl = random_workload(RngStream(seed))
         spec = HeteroRunSpec(CHIP, wl.stream, wl.sync, seed=seed)
         serial = simulate_hetero(spec, strategy="serial")

@@ -89,6 +89,11 @@ class TestServeConfigFromEnv:
         config = ServeConfig.from_env(env={"REPRO_SERVE_CHAOS": ""})
         assert config.chaos is None
 
+    def test_removed_serve_knobs_are_rejected(self):
+        for knob in ("brownout", "brownout_hold_s", "brownout_max_inflight"):
+            with pytest.raises(TypeError):
+                ServeConfig(**{knob: 1})
+
     def test_base_overridden_not_replaced(self):
         base = ServeConfig(port=1234, max_batch=4)
         config = ServeConfig.from_env(

@@ -38,7 +38,7 @@ class TestStrategyEnum:
 
     def test_members(self):
         assert Strategy.COLUMNAR == "columnar"
-        assert Strategy.parse("surrogate") is Strategy.SURROGATE
+        assert Strategy.parse("serial") is Strategy.SERIAL
 
     def test_run_catalog_rejects_typo_with_options(self):
         with pytest.raises(ValueError, match="colmnar"):
