@@ -15,8 +15,8 @@ Phase 2 — **serving robustness**: the serving-chaos sweep.  A live
 (:func:`repro.faults.chaos_profile`: hangs, crashes, slow jobs,
 response corruption) by two clients: the *naive* baseline (single-shot
 :class:`ServeClient` against a server with dispatch retries disabled —
-no supervision anywhere) and the *resilient* stack (watchdog + server
-retries + :class:`ResilientClient`).  The pinned claim: at severity
+no supervision anywhere) and the *resilient* stack (the pool's hang
+kill + crash respawn, server retries and :class:`ResilientClient`).  The pinned claim: at severity
 0.4 the resilient stack keeps availability >= 0.95 while the naive
 baseline is recorded (and documented) worse; the settlement invariant
 ``serve.admitted == serve.settled`` holds at every severity; and no

@@ -15,7 +15,8 @@ test (e.g. ``--chaos worker_hang``) and drives it with the
 :class:`repro.serve.ResilientClient` instead: the smoke then *gates*
 on availability >= 0.95 across the predict storm and on the same
 settlement balance — the CI-facing acceptance of the supervision
-plane (watchdog + retries) in one subprocess round-trip.
+plane (hang kill + crash respawn + dispatch retries) in one
+subprocess round-trip.
 
     PYTHONPATH=src python scripts/serve_smoke.py [--workers N] [--chaos SPEC]
 """
@@ -109,8 +110,8 @@ def main(argv=None):
     cmd = [sys.executable, "-m", "repro", "serve", "--no-cache",
            "--workers", str(args.workers)]
     if args.chaos:
-        # A short hang timeout so the watchdog recovers injected hangs
-        # well inside the smoke budget.
+        # A short hang timeout so the pool kills and respawns hung
+        # workers well inside the smoke budget.
         cmd += ["--chaos", args.chaos, "--hang-timeout-s", "0.5"]
     proc = subprocess.Popen(
         cmd,

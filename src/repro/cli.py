@@ -534,8 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-cache", action="store_true",
                    help="disable the persistent run cache for this server")
     p.add_argument("--hang-timeout-s", type=float, default=30.0,
-                   help="watchdog: declare a worker hung after this much "
-                        "silence with jobs in flight (pool mode)")
+                   help="kill a worker as hung after this much silence "
+                        "with jobs in flight (pool mode)")
     p.add_argument("--chaos", default="",
                    help="inject worker faults (pool mode): a preset "
                         "('worker_hang'), 'severity=0.4', or "

@@ -3,19 +3,20 @@
 A stdlib-only asyncio TCP service that answers ``predict`` / ``sweep``
 / ``score`` requests over an NDJSON protocol, coalescing concurrent
 requests into dynamic micro-batches that amortize one
-``simulate_many_columnar`` dispatch across many clients.  With ``workers > 1``
-the dispatcher shards those batches across a process pool with
-batch-key affinity routing (:mod:`repro.serve.workers`).  See
+``simulate_many_columnar`` dispatch across many clients.  One batcher
+plane feeds either an in-process executor thread (``workers == 1``) or,
+with ``workers > 1``, a process pool with batch-key affinity routing
+(:mod:`repro.serve.workers`); both run the same job function.  See
 ``docs/serving.md`` for the protocol and batching model,
 ``docs/scaling.md`` for the worker tier and capacity planning, and
 ``docs/robustness.md`` for the supervision plane.
 
 Server side: :class:`ServeConfig`, :class:`PredictionServer`,
 :class:`BackgroundServer` (thread helper for tests and benchmarks),
-:class:`WorkerPool` / :class:`HotKeyCache` (the scale-out tier),
-:class:`WorkerWatchdog` (hang detection / quarantine).
+:class:`WorkerPool` (the scale-out tier, with hang detection,
+crash respawn and quarantine) / :class:`HotKeyCache`.
 Client side: :class:`ServeClient` and its typed error hierarchy, plus
-:class:`ResilientClient` (retry + :class:`CircuitBreaker` + hedging).
+:class:`ResilientClient` (retry + :class:`CircuitBreaker`).
 Handlers speak only through :mod:`repro.api`.
 """
 
@@ -24,7 +25,6 @@ from repro.serve.workers import (
     CorruptResponse,
     HotKeyCache,
     WorkerCrashed,
-    WorkerHung,
     WorkerPool,
     dispatch_batch,
 )
@@ -44,7 +44,6 @@ from repro.serve.client import (
 )
 from repro.serve.protocol import OPS, ProtocolError, Request, RETRYABLE_CODES
 from repro.serve.server import BackgroundServer, PredictionServer, ServeConfig
-from repro.serve.watchdog import WorkerWatchdog
 
 __all__ = [
     "BackgroundServer",
@@ -73,7 +72,5 @@ __all__ = [
     "ServeError",
     "ShuttingDownError",
     "WorkerCrashed",
-    "WorkerHung",
     "WorkerPool",
-    "WorkerWatchdog",
 ]

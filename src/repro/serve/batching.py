@@ -4,21 +4,24 @@ The same shape ML inference servers use: requests enter a bounded
 admission queue; a single collector loop takes the first waiting
 request, lingers up to ``max_linger_s`` for company, closes the batch
 at ``max_batch``, groups it by batch key (requests that may legally be
-answered by one handler call), and dispatches each group to a worker.
+answered by one handler call), and dispatches each group.
 
-Two dispatch planes:
+One dispatch plane: ``dispatch(key, payloads, deadlines)`` is an
+awaitable returning one result per payload.  The in-process server
+passes one that runs :func:`repro.serve.workers._run_job` on its single
+executor thread; the pool server passes
+:meth:`repro.serve.workers.WorkerPool.dispatch`, which runs the same
+function in a worker process.
 
-* ``dispatch`` — a synchronous callable run on ``executor`` (the
-  single-process mode).  With the default ``max_concurrent=1`` exactly
-  one batch is in flight at a time — that is what turns a full queue
-  into honest backpressure instead of unbounded buffering.
-* ``dispatch_async`` — an awaitable dispatcher (the
-  :class:`repro.serve.workers.WorkerPool` mode).  Raising
-  ``max_concurrent`` lets the collector pipeline up to that many
-  batches into the pool concurrently, so distinct batch keys (and
-  spilled groups of one hot key) run on different worker processes in
-  parallel; admission stays bounded by the queue plus the pool's own
-  per-worker depth accounting.
+``max_concurrent`` bounds *groups in flight*.  The collector takes a
+slot before it collects a batch (that slot carries the batch's first
+group), and each further group of the batch takes its own slot before
+it dispatches; a group gives its slot back when it settles.  With one
+slot (the in-process server) batches run strictly one after another —
+a full queue then turns into honest backpressure instead of unbounded
+buffering.  With ``2 × workers`` slots (the pool server) the collector
+assembles the next batch while earlier groups run on different worker
+processes.
 
 Failure handling follows :class:`repro.faults.RetryPolicy`: a group
 whose dispatch raises (or exceeds ``task_timeout_s``), or whose result
@@ -27,10 +30,10 @@ check (a corrupted response), is retried with exponential backoff;
 exhausted retries fail that group's requests with the dispatch error,
 never the whole service.
 
-Deadlines travel with the work: the async plane forwards each item's
-absolute deadline to the pool so workers abandon already-expired
-positions (returned as the :data:`~repro.serve.workers.EXPIRED`
-sentinel, surfaced here as the same ``deadline exceeded`` timeout the
+Deadlines travel with the work: each item's absolute deadline is
+forwarded to ``dispatch`` so already-expired positions are abandoned
+(returned as the :data:`~repro.serve.workers.EXPIRED` sentinel,
+surfaced here as the same ``deadline exceeded`` timeout the
 pre-dispatch expiry check raises).
 
 Telemetry (``repro.obs``): ``serve.queue_depth`` gauge,
@@ -43,8 +46,8 @@ the mean batch size), a ``serve.batch_size_le_N`` histogram,
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Awaitable, Callable, Dict, Hashable, List, Optional, Sequence
 
 from repro.faults.retry import RetryPolicy
 from repro.obs import get_tracer
@@ -52,6 +55,11 @@ from repro.serve.workers import EXPIRED, validate_results
 
 #: Histogram bucket upper bounds for the batch-size distribution.
 BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32)
+
+#: ``dispatch(key, payloads, deadlines)`` → one result per payload.
+Dispatch = Callable[
+    [Hashable, Sequence[Any], Sequence[Optional[float]]], Awaitable[Sequence[Any]]
+]
 
 
 class QueueFull(Exception):
@@ -82,24 +90,20 @@ class PendingItem:
 class MicroBatcher:
     """Coalesces :class:`PendingItem` submissions into dispatched batches.
 
-    ``dispatch(key, payloads)`` is a synchronous callable returning one
-    result per payload (or raising); it runs on ``executor`` via the
-    event loop.  Must be constructed and used on a running loop.
+    ``dispatch`` is awaited once per group (see :data:`Dispatch`);
+    ``retry_policy`` governs re-dispatch of failed groups.  Must be
+    constructed and used on a running loop.
     """
 
     def __init__(
         self,
-        dispatch: Optional[Callable[[Hashable, Sequence[Any]], Sequence[Any]]] = None,
+        dispatch: Dispatch,
         *,
-        dispatch_async: Optional[
-            Callable[[Hashable, Sequence[Any]], Awaitable[Sequence[Any]]]
-        ] = None,
+        retry_policy: RetryPolicy,
         max_batch: int = 16,
         max_linger_s: float = 0.002,
         queue_size: int = 256,
         max_concurrent: int = 1,
-        retry_policy: Optional[RetryPolicy] = None,
-        executor=None,
     ):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
@@ -107,25 +111,19 @@ class MicroBatcher:
             raise ValueError(f"max_linger_s must be >= 0, got {max_linger_s}")
         if max_concurrent < 1:
             raise ValueError(f"max_concurrent must be >= 1, got {max_concurrent}")
-        if (dispatch is None) == (dispatch_async is None):
-            raise ValueError("pass exactly one of dispatch / dispatch_async")
         self._dispatch = dispatch
-        self._dispatch_async = dispatch_async
+        self.retry_policy = retry_policy
         self.max_batch = max_batch
         self.max_linger_s = max_linger_s
         self.max_concurrent = max_concurrent
         self._queue: "asyncio.Queue[PendingItem]" = asyncio.Queue(maxsize=queue_size)
-        self.retry_policy = retry_policy or RetryPolicy(
-            task_timeout_s=300.0, max_retries=1, backoff_s=0.01
-        )
-        self._executor = executor
         self._closed = False
         self._idle = asyncio.Event()
         self._idle.set()
         self._task: Optional[asyncio.Task] = None
-        self._inflight: set = set()          # concurrent _process tasks
-        self._pending_batch = False          # collected but not yet processing
-        self._slots: Optional[asyncio.Semaphore] = None
+        self._inflight: set = set()          # dispatched group tasks
+        self._held = False                   # dequeued, groups not all launched
+        self._slots = asyncio.Semaphore(max_concurrent)
 
     # -- admission -----------------------------------------------------
 
@@ -171,8 +169,13 @@ class MicroBatcher:
             self._task = None
 
     async def _collect(self) -> List[PendingItem]:
-        """One batch: first waiter + whoever arrives within the linger."""
+        """One batch: first waiter + whoever arrives within the linger.
+
+        The batch counts as held from its first dequeue, so drain()
+        cannot see the batcher idle while a batch lingers for company.
+        """
         first = await self._queue.get()
+        self._held = True
         batch = [first]
         loop = asyncio.get_running_loop()
         linger_until = loop.time() + self.max_linger_s
@@ -193,89 +196,61 @@ class MicroBatcher:
         return batch
 
     async def _run(self) -> None:
-        if self.max_concurrent > 1 and self._slots is None:
-            self._slots = asyncio.Semaphore(self.max_concurrent)
         loop = asyncio.get_running_loop()
         while True:
+            await self._slots.acquire()
             batch = await self._collect()
-            if self.max_concurrent == 1:
-                # Sequential plane: one batch in flight, the queue is
-                # the whole backpressure story.
-                try:
-                    await self._process(batch)
-                except asyncio.CancelledError:
-                    raise
-                except Exception as exc:  # pragma: no cover - defensive
-                    for item in batch:
-                        if not item.future.done():
-                            item.future.set_exception(exc)
-                finally:
-                    self._maybe_idle()
-                continue
-            # Pipelined plane: hand the batch to a tracked task so the
-            # collector can assemble the next one while this dispatches.
-            # _pending_batch keeps drain() honest in the window between
-            # collecting the batch and the task existing.
-            self._pending_batch = True
             try:
-                await self._slots.acquire()
-                task = loop.create_task(self._process_tracked(batch))
-                self._inflight.add(task)
-                task.add_done_callback(self._on_process_done)
+                groups = self._live_groups(batch, loop.time())
+                if not groups:
+                    self._slots.release()
+                for index, (key, items) in enumerate(groups.items()):
+                    if index:
+                        await self._slots.acquire()
+                    task = loop.create_task(self._dispatch_group(key, items))
+                    self._inflight.add(task)
+                    task.add_done_callback(self._on_group_done)
             finally:
-                self._pending_batch = False
+                self._held = False
+                self._maybe_idle()
 
-    async def _process_tracked(self, batch: List[PendingItem]) -> None:
-        try:
-            await self._process(batch)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # pragma: no cover - defensive
-            for item in batch:
-                if not item.future.done():
-                    item.future.set_exception(exc)
-        finally:
-            self._slots.release()
-
-    def _on_process_done(self, task: "asyncio.Task") -> None:
+    def _on_group_done(self, task: "asyncio.Task") -> None:
         self._inflight.discard(task)
+        self._slots.release()
         self._maybe_idle()
 
     def _maybe_idle(self) -> None:
-        if self._queue.empty() and not self._inflight and not self._pending_batch:
+        if self._queue.empty() and not self._inflight and not self._held:
             self._idle.set()
 
-    async def _process(self, batch: List[PendingItem]) -> None:
-        tracer = get_tracer()
-        loop = asyncio.get_running_loop()
-        now = loop.time()
-        live: List[PendingItem] = []
+    @staticmethod
+    def _live_groups(batch: List[PendingItem],
+                     now: float) -> Dict[Hashable, List[PendingItem]]:
+        """Drop abandoned items, fail expired ones, group the rest by key."""
+        groups: Dict[Hashable, List[PendingItem]] = {}
         for item in batch:
             if item.abandoned():
                 continue
             if item.expired(now):
                 item.future.set_exception(asyncio.TimeoutError("deadline exceeded"))
-                tracer.add("serve.deadline_expirations")
+                get_tracer().add("serve.deadline_expirations")
                 continue
-            live.append(item)
-        if not live:
-            return
-        groups: Dict[Hashable, List[PendingItem]] = {}
-        for item in live:
             groups.setdefault(item.key, []).append(item)
-        if self.max_concurrent == 1 or len(groups) == 1:
-            for key, items in groups.items():
-                await self._dispatch_group(key, items)
-        else:
-            # Distinct keys route to distinct workers — ship them all
-            # at once so a mixed batch spreads across the pool.
-            await asyncio.gather(*(
-                self._dispatch_group(key, items)
-                for key, items in groups.items()
-            ))
+        return groups
 
     async def _dispatch_group(self, key: Hashable,
                               items: List[PendingItem]) -> None:
+        try:
+            await self._dispatch_with_retries(key, items)
+        except asyncio.CancelledError:
+            raise
+        except Exception as exc:  # pragma: no cover - defensive
+            for item in items:
+                if not item.future.done():
+                    item.future.set_exception(exc)
+
+    async def _dispatch_with_retries(self, key: Hashable,
+                                     items: List[PendingItem]) -> None:
         tracer = get_tracer()
         size = len(items)
         tracer.add("serve.batches")
@@ -287,7 +262,6 @@ class MicroBatcher:
         else:
             tracer.add("serve.batch_size_le_inf")
 
-        loop = asyncio.get_running_loop()
         payloads = [item.payload for item in items]
         deadlines = [item.deadline_t for item in items]
         policy = self.retry_policy
@@ -295,18 +269,10 @@ class MicroBatcher:
         with tracer.span("serve.batch", size=size):
             while True:
                 try:
-                    if self._dispatch_async is not None:
-                        results = await asyncio.wait_for(
-                            self._dispatch_async(key, payloads, deadlines),
-                            timeout=policy.task_timeout_s,
-                        )
-                    else:
-                        results = await asyncio.wait_for(
-                            loop.run_in_executor(
-                                self._executor, self._dispatch, key, payloads
-                            ),
-                            timeout=policy.task_timeout_s,
-                        )
+                    results = await asyncio.wait_for(
+                        self._dispatch(key, payloads, deadlines),
+                        timeout=policy.task_timeout_s,
+                    )
                     # Shape-check inside the retry loop: a corrupted
                     # response (short batch, junk bodies) raises a
                     # retryable CorruptResponse and re-dispatches.

@@ -1,8 +1,10 @@
 """The asyncio prediction server: admission, batching, lifecycle.
 
-Composition — one dispatcher event loop in front of either an
-in-process executor (``workers=1``) or a sharded process pool
-(``workers>1``, see :mod:`repro.serve.workers` and docs/scaling.md)::
+Composition — one dispatcher event loop and one micro-batcher in front
+of either an in-process executor thread (``workers=1``) or a sharded
+process pool (``workers>1``, see :mod:`repro.serve.workers` and
+docs/scaling.md).  Both run the same job function, so deadline
+abandonment and result checks have one code path::
 
     TCP conn ──parse──▶ hot-key LRU ──▶ admission ──▶ MicroBatcher
        ▲                  │ hit?           │ full/deep?       │
@@ -26,10 +28,10 @@ in-process executor (``workers=1``) or a sharded process pool
   served late, whether they expire waiting or executing.
 * **Cancellation**: a dropped connection cancels that connection's
   pending futures, so abandoned work never occupies a batch slot.
-* **Supervision** (pool mode): a
-  :class:`repro.serve.watchdog.WorkerWatchdog` kills and respawns hung
-  workers (``hang_timeout_s``); repeat offenders are quarantined by the
-  pool's restart budget; request deadlines propagate into the workers.
+* **Supervision** (pool mode): the pool kills workers that hang past
+  ``hang_timeout_s`` and recovers them through its crash path (jobs
+  failed retryable, respawn); repeat offenders are quarantined by the
+  restart budget; request deadlines propagate into the workers.
   Chaos injection (``ServeConfig.chaos`` / ``REPRO_SERVE_CHAOS``) tests
   all of it — see :mod:`repro.faults.chaos`.
 * **Graceful drain** (:meth:`PredictionServer.stop`): stop accepting
@@ -67,12 +69,11 @@ from repro.serve.protocol import (
     response_error,
     response_ok,
 )
-from repro.serve.watchdog import WorkerWatchdog
 from repro.serve.workers import (
     ENV_START_METHOD,
     HotKeyCache,
     WorkerPool,
-    dispatch_batch,
+    _run_job,
 )
 from repro.util.config import dataclass_from_env
 
@@ -108,7 +109,7 @@ class ServeConfig:
     max_inflight_per_worker: int = 64   # shed when the routed worker is deeper
     hot_cache_size: int = 1024          # dispatcher LRU entries; 0 disables
     mp_start_method: Optional[str] = None   # fork|spawn; None = platform default
-    #: Supervision knobs (pool mode).  The watchdog declares a worker
+    #: Supervision knobs (pool mode).  The pool kills a worker as
     #: hung after ``hang_timeout_s`` with jobs in flight and no
     #: progress; more than ``restart_budget`` respawns inside
     #: ``restart_window_s`` quarantines the worker for
@@ -206,7 +207,6 @@ class PredictionServer:
         self._executor: Optional[ThreadPoolExecutor] = None
         self._pool: Optional[WorkerPool] = None
         self._hot_cache: Optional[HotKeyCache] = None
-        self._watchdog: Optional[WorkerWatchdog] = None
         self._draining = False
         self._stopped = asyncio.Event()
         self._connections: set = set()
@@ -231,32 +231,26 @@ class PredictionServer:
                 restart_budget=config.restart_budget,
                 restart_window_s=config.restart_window_s,
                 quarantine_base_s=config.quarantine_base_s,
-            ).start()
-            self._watchdog = WorkerWatchdog(
-                self._pool, hang_timeout_s=config.hang_timeout_s
+                hang_timeout_s=config.hang_timeout_s,
             ).start()
             if config.hot_cache_size > 0:
                 self._hot_cache = HotKeyCache(config.hot_cache_size)
-            self._batcher = MicroBatcher(
-                dispatch_async=self._pool.dispatch,
-                max_batch=config.max_batch,
-                max_linger_s=config.max_linger_ms / 1000.0,
-                queue_size=config.queue_size,
-                max_concurrent=2 * config.workers,
-                retry_policy=config.retry_policy,
-            )
+            dispatch = self._pool.dispatch
+            slots = 2 * config.workers
         else:
             self._executor = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="repro-serve"
             )
-            self._batcher = MicroBatcher(
-                self._dispatch,
-                max_batch=config.max_batch,
-                max_linger_s=config.max_linger_ms / 1000.0,
-                queue_size=config.queue_size,
-                retry_policy=config.retry_policy,
-                executor=self._executor,
-            )
+            dispatch = self._dispatch_local
+            slots = 1
+        self._batcher = MicroBatcher(
+            dispatch,
+            retry_policy=config.retry_policy,
+            max_batch=config.max_batch,
+            max_linger_s=config.max_linger_ms / 1000.0,
+            queue_size=config.queue_size,
+            max_concurrent=slots,
+        )
         self._batcher.start()
         self._server = await asyncio.start_server(
             self._handle_connection, config.host, config.port
@@ -288,9 +282,6 @@ class PredictionServer:
             await asyncio.gather(*self._connections, return_exceptions=True)
         if self._executor is not None:
             self._executor.shutdown(wait=True)
-        if self._watchdog is not None:
-            await self._watchdog.stop()
-            self._watchdog = None
         if self._pool is not None:
             # Joining worker processes blocks; keep the loop responsive.
             await asyncio.get_running_loop().run_in_executor(
@@ -304,11 +295,15 @@ class PredictionServer:
     async def wait_stopped(self) -> None:
         await self._stopped.wait()
 
-    # -- dispatch (runs on the executor) -------------------------------
+    # -- in-process dispatch -------------------------------------------
 
-    def _dispatch(self, key, payloads: Sequence[Any]):
-        """Route one coalesced group to its handler (executor thread)."""
-        return dispatch_batch(key, payloads, self.config.session)
+    def _dispatch_local(self, key, payloads: Sequence[Any],
+                        deadlines: Sequence[Optional[float]]) -> "asyncio.Future":
+        """Run one group on the executor thread, as a pool worker would."""
+        return asyncio.get_running_loop().run_in_executor(
+            self._executor, _run_job, key, payloads, deadlines,
+            self.config.session,
+        )
 
     # -- connection handling -------------------------------------------
 

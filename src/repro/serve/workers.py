@@ -29,12 +29,12 @@ Three properties the pool preserves:
   in-flight jobs (with :class:`WorkerCrashed`, which the batcher's
   ``RetryPolicy`` retries) and is respawned immediately
   (``serve.worker.restarts``); the service never goes down with a
-  worker.  A worker that is alive but *silent* — hung on a job past
-  ``hang_timeout_s`` — is detected by the
-  :class:`repro.serve.watchdog.WorkerWatchdog`, which fails its jobs
-  with retryable :class:`WorkerHung` and kills it so the same respawn
-  path takes over.  Workers that crash repeatedly inside
-  ``restart_window_s`` blow their ``restart_budget`` and are
+  worker.  A worker that is alive but *silent* — holding jobs with no
+  progress for ``hang_timeout_s`` — is killed by the pool's own hang
+  sweep (``serve.watchdog.hangs`` / ``.kills``), which turns the hang
+  into an ordinary crash: the same EOF path fails its jobs, budgets the
+  restart and respawns it.  Workers that crash (or hang) repeatedly
+  inside ``restart_window_s`` blow their ``restart_budget`` and are
   *quarantined*: still respawned, but routed around for an
   exponentially growing re-admit interval
   (``serve.watchdog.quarantines``).
@@ -92,7 +92,6 @@ __all__ = [
     "EXPIRED",
     "HotKeyCache",
     "WorkerCrashed",
-    "WorkerHung",
     "WorkerPool",
     "default_start_method",
     "dispatch_batch",
@@ -114,10 +113,6 @@ def default_start_method() -> str:
 
 class WorkerCrashed(Exception):
     """A worker process died with this job in flight (retryable)."""
-
-
-class WorkerHung(Exception):
-    """The watchdog declared this job's worker hung (retryable)."""
 
 
 class CorruptResponse(Exception):
@@ -161,10 +156,11 @@ def dispatch_batch(key: Hashable, payloads: Sequence[Any],
                    defaults: Optional[Mapping[str, Any]]) -> List[Any]:
     """Route one coalesced group to its handler.
 
-    This is the single dispatch routine shared by the in-process
-    executor path (``workers=1``) and every pool worker: the op is the
-    first element of the batch key, ``defaults`` are the server-level
-    session knobs.  Runs synchronously wherever it is called.
+    This is the single dispatch routine behind :func:`_run_job`, which
+    the in-process executor thread (``workers=1``) and every pool worker
+    run: the op is the first element of the batch key, ``defaults`` are
+    the server-level session knobs.  Runs synchronously wherever it is
+    called.
     """
     from repro.serve import handlers
 
@@ -316,8 +312,16 @@ class WorkerPool:
     Construct and :meth:`start` on a running event loop; dispatch whole
     coalesced groups with ``await pool.dispatch(key, payloads)``; close
     with :meth:`close` after the batcher has drained.  All routing,
-    accounting and crash recovery happen on the event-loop thread (the
-    per-worker reader threads only forward completions into the loop).
+    accounting, hang sweeps and crash recovery happen on the event-loop
+    thread (the per-worker reader threads only forward completions into
+    the loop).
+
+    ``hang_timeout_s`` is the silence budget: a worker with in-flight
+    jobs and no progress (dispatch or answer) for that long is killed.
+    Size it well above the slowest legitimate batch (the default 30 s
+    suits cold full-catalog sweeps; chaos tests run it at fractions of
+    a second).  The sweep runs every quarter of it (at least 20 ms), so
+    a hang is detected at most one sweep period after the budget ends.
     """
 
     def __init__(
@@ -331,16 +335,21 @@ class WorkerPool:
         restart_budget: int = 3,
         restart_window_s: float = 60.0,
         quarantine_base_s: float = 1.0,
+        hang_timeout_s: float = 30.0,
     ):
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         if restart_budget < 1:
             raise ValueError(f"restart_budget must be >= 1, got {restart_budget}")
+        if hang_timeout_s <= 0:
+            raise ValueError(f"hang_timeout_s must be > 0, got {hang_timeout_s}")
         self.n_workers = n_workers
         self.max_inflight_per_worker = max_inflight_per_worker
         self.restart_budget = restart_budget
         self.restart_window_s = restart_window_s
         self.quarantine_base_s = quarantine_base_s
+        self.hang_timeout_s = hang_timeout_s
+        self._sweep_every_s = max(0.02, hang_timeout_s / 4.0)
         self._defaults = dict(session_defaults or {})
         self._chaos = chaos.to_dict() if chaos is not None else None
         self._ctx = multiprocessing.get_context(
@@ -363,6 +372,7 @@ class WorkerPool:
             worker = _Worker(index)
             self._spawn(worker)
             self._workers.append(worker)
+        self._loop.call_later(self._sweep_every_s, self._sweep_tick)
         return self
 
     def _spawn(self, worker: _Worker) -> None:
@@ -432,6 +442,44 @@ class WorkerPool:
                 self._loop.call_soon_threadsafe(self._fail_leftover_pending)
             except RuntimeError:           # loop already closed
                 pass
+
+    # -- hang detection --------------------------------------------------
+
+    def _sweep_tick(self) -> None:
+        if self._closed:
+            return
+        self.sweep()
+        self._loop.call_later(self._sweep_every_s, self._sweep_tick)
+
+    def sweep(self, now: Optional[float] = None) -> int:
+        """Kill every hung worker; returns how many were declared hung.
+
+        A worker is hung when it holds in-flight jobs and has made no
+        progress for ``hang_timeout_s``; an idle worker is never hung,
+        however long it sits.  The kill is the whole remedy: the reader
+        sees EOF and :meth:`_on_crash` fails the jobs, budgets the
+        restart and respawns.  Runs on the loop thread; public so tests
+        can drive detection with an injected clock.
+        """
+        if self._closed:
+            return 0
+        if now is None:
+            now = time.monotonic()
+        tracer = get_tracer()
+        hung = 0
+        for worker in self._workers:
+            if (worker.inflight_jobs <= 0
+                    or now - worker.last_progress_t <= self.hang_timeout_s):
+                continue
+            hung += 1
+            tracer.add("serve.watchdog.hangs")
+            # Reset the clock so the next tick does not re-declare the
+            # same worker while its respawn is still in flight.
+            worker.last_progress_t = now
+            if worker.process is not None and worker.process.is_alive():
+                tracer.add("serve.watchdog.kills")
+                worker.process.kill()
+        return hung
 
     def _fail_leftover_pending(self) -> None:
         """Fail any job still pending after close (runs on the loop)."""
@@ -530,9 +578,9 @@ class WorkerPool:
         ``deadlines`` (absolute monotonic times, one per payload, None
         for no deadline) ride along so the worker can abandon
         already-expired positions.  Raises :class:`WorkerCrashed` if the
-        worker dies mid-job and :class:`WorkerHung` if the watchdog
-        declares it hung (the batcher's retry policy re-dispatches, by
-        then onto the respawned or a sibling worker),
+        worker dies or is killed as hung mid-job (the batcher's retry
+        policy re-dispatches, by then onto the respawned or a sibling
+        worker),
         :class:`repro.serve.handlers.HandlerError` for client errors,
         ``RuntimeError`` for handler failures.
         """
@@ -624,24 +672,6 @@ class WorkerPool:
         else:
             future.set_exception(RuntimeError(body))
 
-    def fail_worker_jobs(self, worker: _Worker, exc: Exception) -> int:
-        """Fail every pending job on ``worker`` with ``exc`` (loop thread).
-
-        Used by the watchdog before it kills a hung worker, so the
-        stranded jobs re-enter the retry path immediately instead of
-        waiting out their deadlines.  Returns how many jobs were failed.
-        """
-        dead = [
-            job_id for job_id, (_, w, _) in self._pending.items() if w is worker
-        ]
-        for job_id in dead:
-            entry = self._settle(job_id)
-            if entry is not None and not entry[0].done():
-                entry[0].set_exception(
-                    exc.__class__(f"{exc} (worker {worker.index})")
-                )
-        return len(dead)
-
     def _note_restart(self, worker: _Worker) -> None:
         """Quarantine bookkeeping: budget the restarts, back off repeats.
 
@@ -671,13 +701,22 @@ class WorkerPool:
                 )
 
     def _on_crash(self, worker: _Worker) -> None:
-        """Fail the dead worker's jobs, respawn it, keep serving."""
+        """Fail the dead worker's jobs, respawn it, keep serving.
+
+        The one recovery path for a lost worker, whether it crashed or
+        :meth:`sweep` killed it as hung.
+        """
         if self._closed:
             return
         get_tracer().add("serve.worker.restarts")
-        self.fail_worker_jobs(worker, WorkerCrashed(
-            "worker died with this job in flight"
-        ))
+        dead = [job_id for job_id, entry in self._pending.items()
+                if entry[1] is worker]
+        for job_id in dead:
+            future = self._settle(job_id)[0]
+            if not future.done():
+                future.set_exception(WorkerCrashed(
+                    f"worker {worker.index} died with this job in flight"
+                ))
         self._note_restart(worker)
         try:
             worker.process.join(timeout=1.0)

@@ -1,9 +1,9 @@
-"""Watchdog supervision: hang detection, quarantine, close hygiene.
+"""Pool supervision: hang detection, quarantine, close hygiene.
 
 The liveness contract from docs/robustness.md: a worker holding
 in-flight jobs with no progress for ``hang_timeout_s`` is declared
-hung — its jobs fail with retryable :class:`WorkerHung`, the process
-is killed, and the ordinary crash path respawns it.  Idle silence is
+hung and killed; the ordinary crash path then fails its jobs with
+retryable :class:`WorkerCrashed` and respawns it.  Idle silence is
 never a hang.  Repeat offenders blow the restart budget and are
 quarantined (routed around) for an exponentially growing sentence.
 """
@@ -14,8 +14,7 @@ import time
 
 import pytest
 
-from repro.serve import WorkerHung, WorkerPool, WorkerWatchdog
-from repro.serve.workers import WorkerCrashed
+from repro.serve import WorkerCrashed, WorkerPool
 
 SESSION = {"seed": 11, "use_cache": False}
 
@@ -56,32 +55,26 @@ class TestHangDetection:
         patch_hanging_dispatch(monkeypatch)
 
         async def body(pool):
-            watchdog = WorkerWatchdog(
-                pool, hang_timeout_s=0.2, poll_interval_s=0.05
-            ).start()
-            try:
-                key = ("predict", "p7", 1)
-                job = asyncio.get_running_loop().create_task(
-                    pool.dispatch(key, [{"workload": "__hang__"}])
-                )
-                with pytest.raises(WorkerHung):
-                    await asyncio.wait_for(job, timeout=10.0)
-                # The respawned worker serves the same sticky key again.
-                deadline = asyncio.get_running_loop().time() + 30.0
-                results = None
-                while asyncio.get_running_loop().time() < deadline:
-                    try:
-                        results = await pool.dispatch(key, [{"workload": "EP"}])
-                        break
-                    except (WorkerCrashed, WorkerHung):
-                        await asyncio.sleep(0.05)
-                assert results is not None
-                assert results[0]["workload"] == "EP"
-                assert pool.depths() == [0, 0]
-            finally:
-                await watchdog.stop()
+            key = ("predict", "p7", 1)
+            job = asyncio.get_running_loop().create_task(
+                pool.dispatch(key, [{"workload": "__hang__"}])
+            )
+            with pytest.raises(WorkerCrashed):
+                await asyncio.wait_for(job, timeout=10.0)
+            # The respawned worker serves the same sticky key again.
+            deadline = asyncio.get_running_loop().time() + 30.0
+            results = None
+            while asyncio.get_running_loop().time() < deadline:
+                try:
+                    results = await pool.dispatch(key, [{"workload": "EP"}])
+                    break
+                except WorkerCrashed:
+                    await asyncio.sleep(0.05)
+            assert results is not None
+            assert results[0]["workload"] == "EP"
+            assert pool.depths() == [0, 0]
 
-        run_pool(body)
+        run_pool(body, hang_timeout_s=0.2)
         counters = tracer.counters()
         assert counters["serve.watchdog.hangs"] >= 1.0
         assert counters["serve.watchdog.kills"] >= 1.0
@@ -92,29 +85,32 @@ class TestHangDetection:
         patch_hanging_dispatch(monkeypatch)
 
         async def body(pool):
-            # Not started: sweeps are driven by hand with injected clocks.
-            watchdog = WorkerWatchdog(pool, hang_timeout_s=5.0)
+            # Sweeps are driven by hand with injected clocks; the pool's
+            # own sweep cannot fire inside the 5 s silence budget.
             # Idle workers are never hung, however stale they look.
             assert all(w.inflight_jobs == 0 for w in pool._workers)
-            assert watchdog.sweep(now=time.monotonic() + 3600.0) == 0
+            assert pool.sweep(now=time.monotonic() + 3600.0) == 0
 
             job = asyncio.get_running_loop().create_task(
                 pool.dispatch(("predict", "p7", 1), [{"workload": "__hang__"}])
             )
             await asyncio.sleep(0.1)        # the job reaches the worker
             # Within the silence budget: healthy.
-            assert watchdog.sweep(now=time.monotonic()) == 0
-            # Past it: declared hung; the waiting job fails retryable.
-            assert watchdog.sweep(now=time.monotonic() + 10.0) == 1
-            with pytest.raises(WorkerHung):
+            assert pool.sweep(now=time.monotonic()) == 0
+            # Past it: declared hung and killed; the crash path fails
+            # the waiting job retryable.
+            assert pool.sweep(now=time.monotonic() + 10.0) == 1
+            with pytest.raises(WorkerCrashed):
                 await asyncio.wait_for(job, timeout=10.0)
 
-        run_pool(body)
-        assert tracer.counters()["serve.watchdog.hangs"] == 1.0
+        run_pool(body, hang_timeout_s=5.0)
+        counters = tracer.counters()
+        assert counters["serve.watchdog.hangs"] == 1.0
+        assert counters["serve.watchdog.kills"] == 1.0
 
     def test_watchdog_validates_timeout(self):
         with pytest.raises(ValueError):
-            WorkerWatchdog(object(), hang_timeout_s=0.0)
+            WorkerPool(2, hang_timeout_s=0.0)
 
 
 class TestQuarantine:
