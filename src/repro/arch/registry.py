@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 from repro.arch.machine import Architecture
 from repro.arch.armsmt import armsmt
@@ -19,6 +19,13 @@ _BUILDERS: Dict[str, Callable[[], Architecture]] = {
     "generic": generic_core,
 }
 
+#: One built instance per registered name, so every caller in a process
+#: shares it and the identity-keyed memos (serial rates, run-cache
+#: fingerprints) and the columnar engine's per-architecture grouping hit
+#: across calls.  The builder is stored beside the instance: a name
+#: re-registered with a new builder rebuilds instead of reusing it.
+_INSTANCES: Dict[str, Tuple[Callable[[], Architecture], Architecture]] = {}
+
 
 def register_architecture(name: str, builder: Callable[[], Architecture]) -> None:
     """Register a custom architecture builder under ``name``.
@@ -33,7 +40,7 @@ def register_architecture(name: str, builder: Callable[[], Architecture]) -> Non
 
 
 def get_architecture(name: str) -> Architecture:
-    """Build the named architecture (case-insensitive)."""
+    """The named architecture (case-insensitive), built once per process."""
     key = name.lower()
     try:
         builder = _BUILDERS[key]
@@ -41,7 +48,12 @@ def get_architecture(name: str) -> Architecture:
         raise KeyError(
             f"unknown architecture {name!r}; known: {sorted(_BUILDERS)}"
         ) from None
-    return builder()
+    hit = _INSTANCES.get(key)
+    if hit is not None and hit[0] is builder:
+        return hit[1]
+    arch = builder()
+    _INSTANCES[key] = (builder, arch)
+    return arch
 
 
 def list_architectures() -> List[str]:

@@ -169,8 +169,11 @@ def _spec_fingerprint(spec) -> Dict[str, Any]:
 
 #: Architectures are unhashable (dict-valued partition tables), so their
 #: serialized fingerprints are memoized by object identity; the stored
-#: reference pins the id against reuse.
+#: reference pins the id against reuse.  Registry architectures are one
+#: instance per process and hit every time; hand-built ones each add an
+#: entry, so the memo is capped like the serial-rate memo.
 _ARCH_FP_CACHE: Dict[int, Tuple[Architecture, str]] = {}
+_ARCH_FP_CACHE_MAX = 4096
 
 
 def _arch_fp_json(arch: Architecture) -> str:
@@ -178,6 +181,8 @@ def _arch_fp_json(arch: Architecture) -> str:
     if hit is not None and hit[0] is arch:
         return hit[1]
     text = json.dumps(_arch_fingerprint(arch), sort_keys=True)
+    if len(_ARCH_FP_CACHE) >= _ARCH_FP_CACHE_MAX:
+        _ARCH_FP_CACHE.clear()
     _ARCH_FP_CACHE[id(arch)] = (arch, text)
     return text
 

@@ -14,10 +14,13 @@ struct-of-arrays **scenario table** instead:
   placement yields at most two occupancy classes per run, so the core
   table stays within ``2 x runs`` rows regardless of core counts.
 
-Everything that does not depend on the bandwidth multiplier or the spin
-blend — cache pressure, effective miss rates, branch sharing penalties,
-issue capability, port routing — is precomputed once into column
-arrays.  Each evaluation of the MVA interval core model, the bandwidth
+Work that repeats across runs is done once per table: one placement
+per distinct (chips, SMT level, threads), one parameter row and one
+serial rate per distinct stream, one jitter block per distinct RNG
+stream.  Everything that does not depend on the bandwidth multiplier or
+the spin blend — cache pressure, effective miss rates, branch sharing
+penalties, issue capability, port routing — is precomputed once into
+column arrays.  Each evaluation of the MVA interval core model, the bandwidth
 bisection, and the spin/lock fixed point is then a handful of
 whole-table numpy operations; converged runs are masked out rather than
 re-dispatched.  The arithmetic mirrors the scalar engine operation for
@@ -28,13 +31,12 @@ relative error).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arch.classes import N_CLASSES, SPIN_LOOP_MIX, InstrClass
+from repro.arch.classes import SPIN_LOOP_MIX, InstrClass
 from repro.counters.events import CLASS_COUNT_EVENTS, arch_event_names
 from repro.obs import get_tracer
 from repro.sim import engine as _engine
@@ -45,9 +47,10 @@ from repro.sim.engine import MAX_SPIN, SPIN_ITERATIONS, RunSpec
 from repro.sim.fast_core import QUEUE_FILL_FACTOR, effective_smt_mode
 from repro.sim.memory import MAX_LATENCY_MULT, RHO_CAP, numa_extra_latency
 from repro.sim.results import RunResult
-from repro.sim.stream import REF_L1_KB, REF_L2_KB, REF_L3_MB_PER_THREAD
+from repro.sim.stream import REF_L1_KB, REF_L2_KB, REF_L3_MB_PER_THREAD, StreamParams
 from repro.simos.scheduler import place_threads
-from repro.simos.timebase import TimeAccounting, account_run
+from repro.simos.system import SystemSpec
+from repro.simos.timebase import TimeAccounting, account_runs
 from repro.util.rng import RngStream
 
 __all__ = ["ScenarioTable", "TableState", "simulate_many_columnar"]
@@ -77,18 +80,95 @@ class TableState:
 
 
 class _Sol:
-    """One whole-table kernel evaluation."""
+    """One whole-table kernel evaluation.
 
-    __slots__ = ("x", "lam", "held", "long_frac", "traffic_core", "run_traffic", "util")
+    ``held`` (the dispatch-held fraction) is only needed for the
+    solution a bandwidth phase reports, so :meth:`_View.chip_phase`
+    fills it for that one and the bisection steps skip it.
+    """
 
-    def __init__(self, x, lam, held, long_frac, traffic_core, run_traffic, util):
+    __slots__ = ("x", "lam", "mult_r", "run_traffic", "util", "held")
+
+    def __init__(self, x, lam, mult_r, run_traffic, util):
         self.x = x
         self.lam = lam
-        self.held = held
-        self.long_frac = long_frac
-        self.traffic_core = traffic_core
+        self.mult_r = mult_r
         self.run_traffic = run_traffic
         self.util = util
+        self.held: Optional[np.ndarray] = None
+
+
+class _Interner:
+    """Numbers distinct keys in first-seen order, building each value once.
+
+    ``interner(key, *args)`` returns the key's index into
+    :attr:`values`, calling ``make(*args)`` only for a new key.
+    """
+
+    def __init__(self, make: Callable[..., Any]):
+        self.make = make
+        self.index: Dict[Hashable, int] = {}
+        self.values: List[Any] = []
+
+    def __call__(self, key: Hashable, *args: Any) -> int:
+        i = self.index.get(key)
+        if i is None:
+            i = self.index[key] = len(self.values)
+            self.values.append(self.make(*args))
+        return i
+
+
+def _placement_layout(arch, system: SystemSpec, smt_level: int, n: int):
+    """Core-row layout of one breadth-first placement.
+
+    Returns ``(classes, core_rows, core_occ, ctx_rows)``: one
+    ``(occupancy, cores, threads_per_chip, smt_mode)`` class per distinct
+    occupancy, then the class row of every occupied core, every core's
+    occupancy, and the class row of every hardware context, all in
+    placement order.
+    """
+    placement = place_threads(system, smt_level, n)
+    occupied = [t for t in placement.threads_per_core if t > 0]
+    threads_per_chip = max(placement.threads_per_chip())
+    row_of: Dict[int, int] = {}
+    classes = []
+    for occ in set(occupied):
+        row_of[occ] = len(classes)
+        classes.append((
+            occ,
+            occupied.count(occ),
+            max(threads_per_chip, occ),
+            effective_smt_mode(arch, occ),
+        ))
+    core_rows = [row_of[occ] for occ in occupied]
+    ctx_rows = [row_of[occ] for occ in occupied for _ in range(occ)]
+    return classes, core_rows, occupied, ctx_rows
+
+
+def _segments(
+    start: np.ndarray, idx: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gather the ranges ``start[j]:start[j + 1]`` for each ``j`` of ``idx``.
+
+    Returns the concatenated positions, each range's length, and each
+    range's offset into the concatenation (the ``reduceat`` indices).
+    """
+    lo = start[idx]
+    counts = start[idx + 1] - lo
+    seg = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum())) + np.repeat(lo - seg, counts), counts, seg
+
+
+def _blend_mix(base_mix: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Spin-polluted mix per row, renormalized exactly like Mix.blend does."""
+    bm = (1.0 - w)[:, None] * base_mix + w[:, None] * _SPIN_VEC[None, :]
+    bm = np.clip(bm, 0.0, None)
+    return bm / bm.sum(axis=1, keepdims=True)
+
+
+def _unit_clip(a: np.ndarray) -> np.ndarray:
+    """``np.clip(a, 0.0, 1.0)`` without its Python dispatch overhead."""
+    return np.minimum(np.maximum(a, 0.0), 1.0)
 
 
 def _latency_multiplier(traffic: np.ndarray, cap: np.ndarray) -> np.ndarray:
@@ -109,17 +189,7 @@ class _View:
     def __init__(self, table: "ScenarioTable", run_idx: np.ndarray):
         self.table = table
         self.run_idx = run_idx
-        rows: List[np.ndarray] = []
-        counts = []
-        for j in run_idx:
-            lo, hi = table.run_row_start[j], table.run_row_start[j + 1]
-            rows.append(np.arange(lo, hi))
-            counts.append(hi - lo)
-        self.rows = (
-            np.concatenate(rows) if rows else np.zeros(0, dtype=int)
-        )
-        counts = np.asarray(counts, dtype=int)
-        self.seg = np.concatenate(([0], np.cumsum(counts)))[:-1]
+        self.rows, counts, self.seg = _segments(table.run_row_start, run_idx)
         r = self.rows
         # Gather the per-row constant columns once.
         self.occ = table.row_occ[r]
@@ -138,11 +208,25 @@ class _View:
     def __len__(self) -> int:
         return len(self.run_idx)
 
-    def solve(self, mult: np.ndarray, w: np.ndarray) -> _Sol:
+    def blend(self, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The parts of :meth:`solve` that depend only on the spin blend.
+
+        ``w`` holds per-run (view-local) spin-blend weights.  Returns the
+        multiplier-independent stall cycles per instruction (memory base
+        plus branch stalls) and the blended mix routed onto the ports.
+        """
+        t = self.table
+        bm = _blend_mix(self.base_mix, w[self.local_run])
+        br_stall = bm[:, _BRANCH] * self.br_rate * t.branch_penalty
+        return self.mem_base + br_stall, bm @ t.routing_t
+
+    def solve(
+        self, mult: np.ndarray, blend: Tuple[np.ndarray, np.ndarray]
+    ) -> _Sol:
         """Evaluate the MVA core model for every row of the view.
 
-        ``mult``/``w`` are per-run (view-local) memory-latency
-        multipliers and spin-blend weights.  Mirrors
+        ``mult`` holds per-run (view-local) memory-latency multipliers,
+        ``blend`` the :meth:`blend` of the spin weights.  Mirrors
         :func:`repro.sim.fast_core.solve_core` specialized to
         homogeneous (SPMD) rows with uniform priorities.
         """
@@ -151,26 +235,18 @@ class _View:
         if tracer.enabled:
             tracer.add("table.solves")
         mult_r = mult[self.local_run]
-        w_r = w[self.local_run]
+        stall_base, port_vec = blend
 
-        # Spin-polluted mix, renormalized exactly like Mix.blend does.
-        bm = (1.0 - w_r)[:, None] * self.base_mix + w_r[:, None] * _SPIN_VEC[None, :]
-        bm = np.clip(bm, 0.0, None)
-        bm = bm / bm.sum(axis=1, keepdims=True)
-
-        br_stall = bm[:, _BRANCH] * self.br_rate * t.branch_penalty
-        stall = (self.mem_base + br_stall) + self.mem_coef * mult_r
+        stall = stall_base + self.mem_coef * mult_r
         x_want = 1.0 / (self.inv_r + stall)
 
         # Structural limits: port saturation and the shared dispatch width.
-        port_vec = bm @ t.routing_t                      # (r, P)
-        demand = (self.occ * x_want)[:, None] * port_vec
-        with np.errstate(divide="ignore"):
-            ratios = np.where(
-                demand > 0, t.port_caps[None, :] / np.maximum(demand, 1e-300), np.inf
-            )
-        lam_port = np.minimum(1.0, ratios.min(axis=1))
         sum_x = self.occ * x_want
+        demand = sum_x[:, None] * port_vec
+        ratios = np.where(
+            demand > 0, t.port_caps[None, :] / np.maximum(demand, 1e-300), np.inf
+        )
+        lam_port = np.minimum(1.0, ratios.min(axis=1))
         lam_fe = np.minimum(1.0, self.disp_w / np.maximum(sum_x, 1e-12))
         lam = np.minimum(lam_port, lam_fe)
 
@@ -181,16 +257,18 @@ class _View:
         x = np.where(lam < 1.0, x_constrained, x_want)
         x = np.minimum(x, x_want)
 
-        long_frac = np.clip(x * (self.long_base + self.mem_coef * mult_r), 0.0, 1.0)
-        held_queue = (self.occ * long_frac) / self.occ * QUEUE_FILL_FACTOR
-        held = np.clip(1.0 - (1.0 - held_queue) * lam, 0.0, 1.0)
         traffic_core = self.occ * (x * self.traffic_bpi)
-
         run_traffic = np.add.reduceat(
             self.n_cores * (traffic_core * t.bytes_to_gbps), self.seg
         )
         util = run_traffic / self.cap
-        return _Sol(x, lam, held, long_frac, traffic_core, run_traffic, util)
+        return _Sol(x, lam, mult_r, run_traffic, util)
+
+    def dispatch_held(self, sol: _Sol) -> np.ndarray:
+        """Per-row dispatch-held fraction of a :meth:`solve` result."""
+        long_frac = _unit_clip(sol.x * (self.long_base + self.mem_coef * sol.mult_r))
+        held_queue = (self.occ * long_frac) / self.occ * QUEUE_FILL_FACTOR
+        return _unit_clip(1.0 - (1.0 - held_queue) * sol.lam)
 
     def chip_phase(self, w: np.ndarray) -> Tuple[_Sol, np.ndarray]:
         """Bandwidth bisection for every run of the view, in lockstep.
@@ -198,16 +276,19 @@ class _View:
         Mirrors :func:`repro.sim.chip.solve_chip`: settle runs at
         unit latency, pin saturated runs at the cap, bisect the rest.
         All active brackets halve together, so the loop exits for every
-        run at the same step (~14 of the nominal 40).
+        run at the same step (~14 of the nominal 40).  The spin blend is
+        fixed for the whole bisection, so its part of the kernel is
+        evaluated once.
         """
         m = len(self)
+        blend = self.blend(w)
         final_mult = np.ones(m)
-        sol = self.solve(final_mult, w)
+        sol = self.solve(final_mult, blend)
         undone = sol.util > TOLERANCE
         steps = 0
         if undone.any():
             hi_mult = _latency_multiplier(RHO_CAP * self.cap, self.cap)
-            sol_hi = self.solve(np.where(undone, hi_mult, 1.0), w)
+            sol_hi = self.solve(np.where(undone, hi_mult, 1.0), blend)
             saturated = undone & (sol_hi.util >= RHO_CAP)
             final_mult = np.where(saturated, hi_mult, final_mult)
             active = undone & ~saturated
@@ -220,13 +301,14 @@ class _View:
                 mid = (lo + hi) / 2.0
                 step_mult = _latency_multiplier(mid * self.cap, self.cap)
                 step_mult = np.where(active, step_mult, final_mult)
-                utils = self.solve(step_mult, w).util
+                utils = self.solve(step_mult, blend).util
                 above = utils > mid
                 lo = np.where(active & above, mid, lo)
                 hi = np.where(active & ~above, mid, hi)
                 final_mult = np.where(active, step_mult, final_mult)
                 active = active & ~((hi - lo) < TOLERANCE)
-        sol = self.solve(final_mult, w)
+        sol = self.solve(final_mult, blend)
+        sol.held = self.dispatch_held(sol)
         tracer = get_tracer()
         if tracer.enabled:
             tracer.add("table.bisection_steps", steps)
@@ -241,7 +323,8 @@ class ScenarioTable:
     """Struct-of-arrays over every scenario parameter of a spec batch.
 
     All specs must share one :class:`Architecture` *instance* (group by
-    ``id(arch)`` first — :func:`simulate_many_columnar` does).  Build
+    ``id(arch)`` first — :func:`simulate_many_columnar` does); chip
+    counts may differ, so ``p7`` and ``p7x2`` runs share a table.  Build
     once, then :meth:`run` drives the full fixed point and finalization
     (:meth:`drive` then :meth:`finalize`).
     """
@@ -268,110 +351,124 @@ class ScenarioTable:
 
         J = len(specs)
         self.n_runs = J
-        self.ns = [spec.resolved_threads() for spec in specs]
-        self.placements = [
-            place_threads(spec.system, spec.smt_level, n)
-            for spec, n in zip(specs, self.ns)
-        ]
-        self.run_cap = np.array(
-            [spec.system.mem_bandwidth_gbps() for spec in specs]
+        caches = arch.caches
+
+        # ---- per-run columns ---------------------------------------------
+        # A sweep repeats each stream at every SMT level and each
+        # placement for every workload, so distinct streams and
+        # placements are evaluated once and the runs index into them.
+        stream_ix = _Interner(lambda stream: stream)
+        place_ix = _Interner(
+            lambda system, level, n: _placement_layout(arch, system, level, n)
         )
-        self.run_noise = np.array([spec.noise_rel for spec in specs])
-        self.run_n = np.array(self.ns, dtype=float)
+        run_stream: List[int] = []
+        run_layout: List[int] = []
+        per_run: List[Tuple[float, ...]] = []
+        for spec in specs:
+            system, stream, sync = spec.system, spec.stream, spec.sync
+            n = spec.resolved_threads()
+            run_stream.append(stream_ix(id(stream), stream))
+            run_layout.append(
+                place_ix((system.n_chips, spec.smt_level, n), system, spec.smt_level, n)
+            )
+            per_run.append((
+                n,
+                system.mem_bandwidth_gbps(),
+                spec.noise_rel,
+                spec.useful_instructions,
+                sync.serial_fraction,
+                sync.work_inflation(n),
+                sync.runnable_fraction(n),
+                sync.blocked_fraction(n),
+                sync.spin_fraction(n),
+                numa_extra_latency(
+                    system.n_chips, stream.memory.data_sharing, caches.numa_extra_cycles
+                ),
+            ))
+        (
+            self.run_n,
+            self.run_cap,
+            self.run_noise,
+            self.run_work,
+            self.run_serial_fraction,
+            self.run_inflation,
+            self.run_runnable,
+            self.run_blocked,
+            self.run_spin0,
+            run_extra,
+        ) = np.asarray(per_run, dtype=float).T
+        self.ns: List[int] = self.run_n.astype(int).tolist()
+        self.run_stream = np.asarray(run_stream, dtype=int)
+        self.streams: List[StreamParams] = stream_ix.values
 
         # ---- core rows: one per (run, occupancy class) ---------------
-        occ_l: List[int] = []
-        cores_l: List[int] = []
-        tpc_l: List[int] = []
-        extra_l: List[float] = []
-        mode_l: List[int] = []
-        row_start = [0]
-        core_rows: List[int] = []        # per occupied core, placement order
-        core_occ: List[int] = []
-        core_start = [0]
-        ctx_rows: List[int] = []         # per hardware context, placement order
-        ctx_start = [0]
-        caches = arch.caches
-        for j, (spec, placement) in enumerate(zip(specs, self.placements)):
-            occupied = [t for t in placement.threads_per_core if t > 0]
-            threads_per_chip = max(placement.threads_per_chip())
-            extra_lat = numa_extra_latency(
-                spec.system.n_chips,
-                spec.stream.memory.data_sharing,
-                caches.numa_extra_cycles,
-            )
-            occ_to_row: Dict[int, int] = {}
-            for occ in set(occupied):
-                occ_to_row[occ] = len(occ_l)
-                occ_l.append(occ)
-                cores_l.append(occupied.count(occ))
-                tpc_l.append(max(threads_per_chip, occ))
-                extra_l.append(extra_lat)
-                mode_l.append(effective_smt_mode(arch, occ))
-            row_start.append(len(occ_l))
-            for occ in occupied:
-                core_rows.append(occ_to_row[occ])
-                core_occ.append(occ)
-                ctx_rows.extend([occ_to_row[occ]] * occ)
-            core_start.append(len(core_rows))
-            ctx_start.append(len(ctx_rows))
-
-        R = len(occ_l)
-        self.n_rows = R
-        self.run_row_start = np.asarray(row_start, dtype=int)
-        self.core_row = np.asarray(core_rows, dtype=int)
-        self.core_occ = np.asarray(core_occ, dtype=float)
-        self.core_start = np.asarray(core_start, dtype=int)
-        self.ctx_row = np.asarray(ctx_rows, dtype=int)
-        self.ctx_start = np.asarray(ctx_start, dtype=int)
-        self.row_run = np.repeat(
-            np.arange(J), np.diff(self.run_row_start)
+        # Concatenate the distinct layouts, then gather each run's
+        # segments; core and context rows are layout-local row indices
+        # shifted by the run's first row.
+        layouts = place_ix.values
+        lay_rows = [cls for layout in layouts for cls in layout[0]]
+        lay_occ, lay_cores, lay_tpc, lay_mode = (
+            np.asarray(col) for col in zip(*lay_rows)
         )
+        run_layout_a = np.asarray(run_layout, dtype=int)
 
-        occ = np.asarray(occ_l, dtype=float)
-        tpc = np.asarray(tpc_l, dtype=float)
-        extra = np.asarray(extra_l, dtype=float)
+        def starts(part: int) -> np.ndarray:
+            return np.cumsum([0] + [len(layout[part]) for layout in layouts])
+
+        def flat(part: int) -> np.ndarray:
+            return np.asarray([v for layout in layouts for v in layout[part]], dtype=int)
+
+        rows, row_counts, _ = _segments(starts(0), run_layout_a)
+        self.run_row_start = np.concatenate(([0], np.cumsum(row_counts)))
+        self.row_run = np.repeat(np.arange(J), row_counts)
+        first_row = self.run_row_start[:-1]
+        core_pos, core_counts, _ = _segments(starts(1), run_layout_a)
+        self.core_row = flat(1)[core_pos] + np.repeat(first_row, core_counts)
+        self.core_occ = flat(2)[core_pos].astype(float)
+        self.core_start = np.concatenate(([0], np.cumsum(core_counts)))
+        ctx_pos, ctx_counts, _ = _segments(starts(3), run_layout_a)
+        self.ctx_row = flat(3)[ctx_pos] + np.repeat(first_row, ctx_counts)
+        self.ctx_start = np.concatenate(([0], np.cumsum(ctx_counts)))
+
+        R = len(rows)
+        self.n_rows = R
+        occ = lay_occ[rows].astype(float)
+        tpc = lay_tpc[rows].astype(float)
+        extra = run_extra[self.row_run]
         self.row_occ = occ
-        self.row_cores = np.asarray(cores_l, dtype=float)
+        self.row_cores = lay_cores[rows].astype(float)
 
         # Per-row stream parameters (one stream per run: SPMD threads).
-        ilp = np.empty(R)
-        mlp = np.empty(R)
-        br_base = np.empty(R)
-        l1 = np.empty(R)
-        l2 = np.empty(R)
-        l3 = np.empty(R)
-        alpha = np.empty(R)
-        d = np.empty(R)
-        wb = np.empty(R)
-        mix = np.empty((R, N_CLASSES))
-        ilp_scale = np.empty(R)
-        disp_w = np.empty(R)
-        resources_by_mode: Dict[int, Tuple[float, float]] = {}
-        for r in range(R):
-            spec = specs[self.row_run[r]]
-            stream = spec.stream
-            mem = stream.memory
-            ilp[r] = stream.ilp
-            mlp[r] = stream.mlp
-            br_base[r] = stream.branch_mispredict_rate
-            l1[r] = mem.l1_mpki
-            l2[r] = mem.l2_mpki
-            l3[r] = mem.l3_mpki
-            alpha[r] = mem.locality_alpha
-            d[r] = mem.data_sharing
-            wb[r] = mem.writeback_factor
-            mix[r] = stream.mix.vector
-            mode = mode_l[r]
-            cached = resources_by_mode.get(mode)
-            if cached is None:
-                cached = (
-                    arch.partition.thread_resources(mode).ilp_scale,
-                    arch.partition.core_dispatch_width(mode),
+        row_stream = self.run_stream[self.row_run]
+        ilp, mlp, br_base, l1, l2, l3, alpha, d, wb = np.asarray(
+            [
+                (
+                    st.ilp,
+                    st.mlp,
+                    st.branch_mispredict_rate,
+                    st.memory.l1_mpki,
+                    st.memory.l2_mpki,
+                    st.memory.l3_mpki,
+                    st.memory.locality_alpha,
+                    st.memory.data_sharing,
+                    st.memory.writeback_factor,
                 )
-                resources_by_mode[mode] = cached
-            ilp_scale[r], disp_w[r] = cached
-        self.row_mix = mix
+                for st in self.streams
+            ],
+            dtype=float,
+        ).T[:, row_stream]
+        self.stream_mix = np.stack([st.mix.vector for st in self.streams])
+        self.row_mix = self.stream_mix[row_stream]
+        resources = {
+            mode: (
+                arch.partition.thread_resources(mode).ilp_scale,
+                arch.partition.core_dispatch_width(mode),
+            )
+            for mode in set(lay_mode.tolist())
+        }
+        ilp_scale, disp_w = np.asarray(
+            [resources[mode] for mode in lay_mode.tolist()], dtype=float
+        ).T[:, rows]
         self.row_disp_w = disp_w
 
         # ---- mult-independent precompute --------------------------------
@@ -468,38 +565,32 @@ class ScenarioTable:
         spin_final = np.zeros(J)
         useful_rate = np.zeros(J)
         sync_free = np.zeros(J, dtype=bool)
-        spin0_a = np.zeros(J)
         runnable_a = np.zeros(J)
         blocked_a = np.zeros(J)
-        lock_cap_a = np.zeros(J)
 
         view = self.view(run_idx)
         base_sol, base_mults = view.chip_phase(np.zeros(len(view)))
         ipc_sum = view.thread_ipc_sum(base_sol)
 
-        # Per-run sync profile evaluation (cheap Python: a few dataclass
-        # method calls per run; everything heavy stays columnar).
-        loop_local: List[int] = []
-        for pos, j in enumerate(run_idx):
-            spec = self.specs[j]
-            n = self.ns[j]
-            runnable = spec.sync.runnable_fraction(n)
-            holder_rate = (ipc_sum[pos] / self.run_n[j]) * self.freq
-            lock_cap = spec.sync.lock_throughput_cap(float(holder_rate), n)
-            spin0 = spec.sync.spin_fraction(n)
-            runnable_a[j] = runnable
-            blocked_a[j] = spec.sync.blocked_fraction(n)
-            lock_cap_a[j] = lock_cap
-            spin0_a[j] = spin0
-            if spin0 == 0.0 and math.isinf(lock_cap):
-                sync_free[j] = True
-                useful_rate[j] = ipc_sum[pos] * self.freq * runnable
-                mult[j] = base_mults[pos]
-                run_traffic[j] = base_sol.run_traffic[pos]
-                spin_final[j] = spin0
-            else:
-                loop_local.append(pos)
-                spin_final[j] = spin0
+        # The lock cap depends on the solved holder rate, so it is the one
+        # sync-profile call left per run; the fractions came from build.
+        runnable_sel = self.run_runnable[run_idx]
+        spin0_sel = self.run_spin0[run_idx]
+        holder_rate = (ipc_sum / self.run_n[run_idx]) * self.freq
+        lock_cap_sel = np.array([
+            self.specs[j].sync.lock_throughput_cap(rate, self.ns[j])
+            for j, rate in zip(run_idx.tolist(), holder_rate.tolist())
+        ])
+        free = (spin0_sel == 0.0) & np.isinf(lock_cap_sel)
+        free_idx = run_idx[free]
+        runnable_a[run_idx] = runnable_sel
+        blocked_a[run_idx] = self.run_blocked[run_idx]
+        spin_final[run_idx] = spin0_sel
+        sync_free[free_idx] = True
+        useful_rate[free_idx] = (ipc_sum[free] * self.freq) * runnable_sel[free]
+        mult[free_idx] = base_mults[free]
+        run_traffic[free_idx] = base_sol.run_traffic[free]
+        loop_local = np.flatnonzero(~free)
 
         # Scatter the base solution into the reported rows (overwritten
         # below for runs that enter the spin loop).
@@ -509,16 +600,16 @@ class ScenarioTable:
         tracer = get_tracer()
         if tracer.enabled:
             tracer.add("table.sync_free_runs", len(run_idx) - len(loop_local))
-            if loop_local:
+            if len(loop_local):
                 tracer.add("table.spin_iterations", SPIN_ITERATIONS * len(loop_local))
 
-        if loop_local:
-            loop_idx = run_idx[np.asarray(loop_local, dtype=int)]
+        if len(loop_local):
+            loop_idx = run_idx[loop_local]
             lview = self.view(loop_idx)
-            spins = spin0_a[loop_idx]
-            spin0 = spin0_a[loop_idx]
-            runnable = runnable_a[loop_idx]
-            lock_cap = lock_cap_a[loop_idx]
+            spin0 = spin0_sel[loop_local]
+            spins = spin0
+            runnable = runnable_sel[loop_local]
+            lock_cap = lock_cap_sel[loop_local]
             sol = None
             mults = None
             for _ in range(SPIN_ITERATIONS):
@@ -554,78 +645,86 @@ class ScenarioTable:
         """Vectorized time accounting, jitter, and counters.
 
         Mirrors :func:`repro.sim.engine._finalize_run` for every run of
-        ``run_idx`` at once: the only per-run Python work is the seeded
-        RNG stream (one ``standard_normal`` block per run, replicating
-        the scalar draw order bit-for-bit) and the result dataclasses.
+        ``run_idx`` at once.  Serial rates are looked up once per
+        stream; time accounting, wall/CPU jitter and counters are array
+        expressions in the scalar engine's operation order.  The per-run
+        Python left is the seeded RNG stream of each noisy run (one
+        ``standard_normal`` block, replicating the scalar draw order
+        bit-for-bit) and building the validated :class:`TimeAccounting`
+        and :class:`RunResult` objects.
         """
         if run_idx is None:
             run_idx = np.arange(self.n_runs)
         run_idx = np.asarray(run_idx, dtype=int)
         arch = self.arch
-        freq = self.freq
         E = self.n_events
-
         m = len(run_idx)
-        # Times + jitter (scalar arithmetic per run mirrors account_run /
-        # _jitter_times exactly; the draws come from one block per run).
-        times_list: List[TimeAccounting] = []
-        z_blocks: List[Optional[np.ndarray]] = []
-        for j in run_idx:
-            spec = self.specs[j]
-            n = self.ns[j]
-            inflation = spec.sync.work_inflation(n)
-            serial_rate = _engine._serial_rate(spec.system, spec.stream)
-            times = account_run(
-                useful_instructions=spec.useful_instructions * inflation,
-                parallel_useful_rate=float(state.useful_rate[j]),
-                serial_rate=serial_rate,
-                sync=spec.sync,
-                n_threads=n,
+        runs = run_idx.tolist()
+
+        # Flattened context axis over the selected runs.
+        ctx_sel, ctx_counts, ctx_seg = _segments(self.ctx_start, run_idx)
+        ctx_row = self.ctx_row[ctx_sel]
+        ctx_run = np.repeat(np.arange(m), ctx_counts)         # view-local
+
+        # Jitter draws: one block per noisy run, in the scalar order
+        # (wall factor, CPU factor, then per context every event).  The
+        # stream is keyed by (seed, level, threads) only, so every
+        # workload of a sweep at one level draws the same block; each
+        # distinct block is drawn once.
+        noise = self.run_noise[run_idx]
+        noisy = noise > 0
+        z_wall = np.zeros(m)
+        z_cpu = np.zeros(m)
+        Z = np.zeros((len(ctx_sel), E))
+        seg = ctx_seg.tolist()
+        blocks: Dict[Tuple[int, int, int], np.ndarray] = {}
+        for pos in np.flatnonzero(noisy).tolist():
+            spec = self.specs[runs[pos]]
+            n = self.ns[runs[pos]]
+            key = (spec.seed, spec.smt_level, n)
+            z = blocks.get(key)
+            if z is None:
+                rng = RngStream(spec.seed, ("run", arch.name, spec.smt_level, n))
+                z = blocks[key] = rng.gen.standard_normal(2 + n * E)
+            z_wall[pos] = z[0]
+            z_cpu[pos] = z[1]
+            Z[seg[pos]:seg[pos] + n] = z[2:].reshape(n, E)
+
+        # Times: account_run, then _jitter_times (noise-free runs keep
+        # their accounted times exactly).
+        stream_sel = self.run_stream[run_idx]
+        serial_rates = np.zeros(len(self.streams))
+        used, first = np.unique(stream_sel, return_index=True)
+        for s, pos in zip(used.tolist(), first.tolist()):
+            serial_rates[s] = _engine._serial_rate(
+                self.specs[runs[pos]].system, self.streams[s]
             )
-            rng = RngStream(spec.seed, ("run", arch.name, spec.smt_level, n))
-            if spec.noise_rel > 0:
-                z = rng.gen.standard_normal(2 + n * E)
-                wall_factor = max(0.5, 1.0 + spec.noise_rel * z[0])
-                cpu_factor = max(0.5, 1.0 + (spec.noise_rel * 0.5) * z[1])
-                total_cpu = min(
-                    times.total_cpu_s * wall_factor * cpu_factor,
-                    times.wall_time_s * wall_factor * times.n_threads,
-                )
-                times = TimeAccounting(
-                    wall_time_s=times.wall_time_s * wall_factor,
-                    serial_time_s=times.serial_time_s * wall_factor,
-                    parallel_time_s=times.parallel_time_s * wall_factor,
-                    total_cpu_s=total_cpu,
-                    n_threads=times.n_threads,
-                )
-                z_blocks.append(z[2:])
-            else:
-                z_blocks.append(None)
-            times_list.append(times)
+        n_sel = self.run_n[run_idx]
+        runnable = state.runnable[run_idx]
+        wall, serial, parallel, cpu = account_runs(
+            useful_instructions=self.run_work[run_idx] * self.run_inflation[run_idx],
+            parallel_useful_rate=state.useful_rate[run_idx],
+            serial_rate=serial_rates[stream_sel],
+            serial_fraction=self.run_serial_fraction[run_idx],
+            runnable=runnable,
+            n_threads=n_sel,
+        )
+        wall_factor = np.maximum(0.5, 1.0 + noise * z_wall)
+        cpu_factor = np.maximum(0.5, 1.0 + (noise * 0.5) * z_cpu)
+        cpu = np.where(
+            noisy,
+            np.minimum(cpu * wall_factor * cpu_factor, wall * wall_factor * n_sel),
+            cpu,
+        )
+        wall, serial, parallel = (
+            np.where(noisy, t * wall_factor, t) for t in (wall, serial, parallel)
+        )
 
         # Final blended mix (reported spin) and derived port fractions.
         spin = state.spin_final[run_idx]
-        base_mix = np.stack([self.specs[j].stream.mix.vector for j in run_idx])
-        bm = (1.0 - spin)[:, None] * base_mix + spin[:, None] * _SPIN_VEC[None, :]
-        bm = np.clip(bm, 0.0, None)
-        bm = bm / bm.sum(axis=1, keepdims=True)
+        bm = _blend_mix(self.stream_mix[stream_sel], spin)
         port_fracs = bm @ self.routing_t                      # (m, P)
-
-        runnable = state.runnable[run_idx]
-        par_cycles = (
-            np.array([t.parallel_time_s for t in times_list]) * freq * runnable
-        )
-
-        # Flattened context axis over the selected runs.
-        ctx_sel = np.concatenate(
-            [np.arange(self.ctx_start[j], self.ctx_start[j + 1]) for j in run_idx]
-        )
-        ctx_counts = np.array(
-            [self.ctx_start[j + 1] - self.ctx_start[j] for j in run_idx], dtype=int
-        )
-        ctx_seg = np.concatenate(([0], np.cumsum(ctx_counts)))[:-1]
-        ctx_row = self.ctx_row[ctx_sel]
-        ctx_run = np.repeat(np.arange(m), ctx_counts)         # view-local
+        par_cycles = parallel * self.freq * runnable
 
         cyc = par_cycles[ctx_run]
         instr = state.x_rows[ctx_row] * cyc
@@ -644,24 +743,15 @@ class ScenarioTable:
 
         # Counter jitter: one factor per (context, event), drawn in the
         # scalar per-context order; noise-free runs multiply by exactly 1.
-        Z = np.zeros((len(ctx_sel), E))
-        for pos in range(m):
-            z = z_blocks[pos]
-            if z is not None:
-                lo, hi = ctx_seg[pos], ctx_seg[pos] + ctx_counts[pos]
-                Z[lo:hi] = z.reshape(ctx_counts[pos], E)
-        factors = np.maximum(0.05, 1.0 + self.run_noise[run_idx][ctx_run][:, None] * Z)
-        V = V * factors
+        # In place: Z becomes max(0.05, 1 + noise * Z).
+        Z *= noise[ctx_run][:, None]
+        Z += 1.0
+        np.maximum(Z, 0.05, out=Z)
+        V *= Z
         sums = np.add.reduceat(V, ctx_seg, axis=0)            # (m, E)
 
         # Occupancy-weighted dispatch-held per run (mirrors np.average).
-        core_sel = np.concatenate(
-            [np.arange(self.core_start[j], self.core_start[j + 1]) for j in run_idx]
-        )
-        core_counts = np.array(
-            [self.core_start[j + 1] - self.core_start[j] for j in run_idx], dtype=int
-        )
-        core_seg = np.concatenate(([0], np.cumsum(core_counts)))[:-1]
+        core_sel, _, core_seg = _segments(self.core_start, run_idx)
         held_core = state.held_rows[self.core_row[core_sel]]
         occ_core = self.core_occ[core_sel]
         mdh = (
@@ -673,28 +763,48 @@ class ScenarioTable:
         traffic = state.run_traffic[run_idx]
         mem_util = np.minimum(traffic, cap) / cap
 
-        thread_ipc = state.x_rows[ctx_row]
         names = self.event_names
+        thread_ipc = state.x_rows[ctx_row].tolist()
+        bounds = np.concatenate((ctx_seg, [len(ctx_sel)])).tolist()
+        columns = zip(
+            runs,
+            sums.tolist(),
+            wall.tolist(),
+            serial.tolist(),
+            parallel.tolist(),
+            cpu.tolist(),
+            spin.tolist(),
+            state.blocked[run_idx].tolist(),
+            state.mult[run_idx].tolist(),
+            mem_util.tolist(),
+            mdh.tolist(),
+        )
         results: List[RunResult] = []
-        for pos, j in enumerate(run_idx):
+        for pos, (j, counts, wall_s, serial_s, parallel_s, cpu_s,
+                  spin_j, blocked, mult, util, held) in enumerate(columns):
             spec = self.specs[j]
-            lo, hi = ctx_seg[pos], ctx_seg[pos] + ctx_counts[pos]
-            events = {name: float(sums[pos, e]) for e, name in enumerate(names)}
+            n = self.ns[j]
             results.append(
                 RunResult(
                     arch=arch,
                     smt_level=spec.smt_level,
-                    n_threads=self.ns[j],
+                    n_threads=n,
                     n_chips=spec.system.n_chips,
                     useful_instructions=spec.useful_instructions,
-                    times=times_list[pos],
-                    events=events,
-                    spin_fraction=float(state.spin_final[j]),
-                    blocked_fraction=float(state.blocked[j]),
-                    mem_latency_mult=float(state.mult[j]),
-                    mem_utilization=float(mem_util[pos]),
-                    per_thread_ipc=tuple(float(v) for v in thread_ipc[lo:hi]),
-                    dispatch_held_fraction=float(mdh[pos]),
+                    times=TimeAccounting(
+                        wall_time_s=wall_s,
+                        serial_time_s=serial_s,
+                        parallel_time_s=parallel_s,
+                        total_cpu_s=cpu_s,
+                        n_threads=n,
+                    ),
+                    events=dict(zip(names, counts)),
+                    spin_fraction=spin_j,
+                    blocked_fraction=blocked,
+                    mem_latency_mult=mult,
+                    mem_utilization=util,
+                    per_thread_ipc=tuple(thread_ipc[bounds[pos]:bounds[pos + 1]]),
+                    dispatch_held_fraction=held,
                 )
             )
         return results

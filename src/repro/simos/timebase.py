@@ -15,6 +15,9 @@ their runnable fraction) and returns the times exactly as a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
+
+import numpy as np
 
 from repro.simos.sync import SyncProfile
 from repro.util.validation import check_positive
@@ -89,3 +92,52 @@ def account_run(
         total_cpu_s=total_cpu,
         n_threads=n_threads,
     )
+
+
+def account_runs(
+    useful_instructions: np.ndarray,
+    parallel_useful_rate: np.ndarray,
+    serial_rate: np.ndarray,
+    serial_fraction: np.ndarray,
+    runnable: np.ndarray,
+    n_threads: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`account_run` over many runs at once, as arrays.
+
+    Takes each run's ``sync.serial_fraction`` and
+    ``sync.runnable_fraction(n)`` in place of the profile, evaluates the
+    scalar formulas in the same operation order (so every element equals
+    the scalar result bit for bit), and returns ``(wall, serial,
+    parallel, total_cpu)`` seconds.  The scalar validations all run: the
+    first run that fails one raises the scalar function's error.
+    """
+    for name, values in (
+        ("useful_instructions", useful_instructions),
+        ("parallel_useful_rate", parallel_useful_rate),
+        ("serial_rate", serial_rate),
+    ):
+        bad = ~((values > 0.0) & np.isfinite(values))
+        if bad.any():
+            check_positive(name, float(values[np.argmax(bad)]))
+    if (n_threads < 1).any():
+        raise ValueError(f"n_threads must be >= 1, got {int(n_threads.min())}")
+
+    s = serial_fraction
+    serial_time = s * useful_instructions / serial_rate
+    parallel_time = (1.0 - s) * useful_instructions / parallel_useful_rate
+    wall = serial_time + parallel_time
+    total_cpu = serial_time * 1.0 + parallel_time * n_threads * runnable
+
+    bad = ~((wall > 0.0) & np.isfinite(wall)) | ~(total_cpu > 0) | (
+        total_cpu > wall * n_threads * (1 + 1e-9)
+    )
+    if bad.any():
+        i = int(np.argmax(bad))
+        TimeAccounting(  # raises the scalar validation error
+            wall_time_s=float(wall[i]),
+            serial_time_s=float(serial_time[i]),
+            parallel_time_s=float(parallel_time[i]),
+            total_cpu_s=float(total_cpu[i]),
+            n_threads=int(n_threads[i]),
+        )
+    return wall, serial_time, parallel_time, total_cpu

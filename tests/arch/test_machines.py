@@ -132,6 +132,29 @@ class TestGenericAndRegistry:
         with pytest.raises(ValueError, match="already registered"):
             register_architecture("power7", power7)
 
+    def test_registry_returns_one_instance_per_name(self):
+        # Identity-keyed memos (serial rates, run-cache fingerprints) and
+        # the columnar engine's grouping hit only on a shared instance.
+        for name in list_architectures():
+            assert get_architecture(name) is get_architecture(name)
+        assert get_architecture("POWER7") is get_architecture("power7")
+
+    def test_reregistered_name_rebuilds(self):
+        from repro.arch.registry import _BUILDERS
+
+        name = "tmp_rebuilt_arch"
+        register_architecture(name, lambda: generic_core("First"))
+        try:
+            first = get_architecture(name)
+            del _BUILDERS[name]
+            register_architecture(name, lambda: generic_core("Second"))
+            second = get_architecture(name)
+            assert second is get_architecture(name)
+        finally:
+            _BUILDERS.pop(name, None)
+        assert first.name == "First"
+        assert second.name == "Second"
+
 
 class TestArchitectureValidation:
     def test_smt_levels_must_include_one(self):

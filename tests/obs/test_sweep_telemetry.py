@@ -107,3 +107,16 @@ class TestWarmPass:
         tracer.reset()
         sweep()
         assert tracer.snapshot() == {"counters": {}, "gauges": {}, "spans": []}
+
+
+class TestSerialRateMemo:
+    def test_second_uncached_pass_solves_no_serial_rates(self, tracer):
+        # The registry hands every call the same Architecture, so the
+        # identity-keyed serial-rate memo filled by the first pass
+        # serves the whole second one.
+        run_catalog("power7", use_cache=False)
+        tracer.reset()
+        run_catalog("power7", use_cache=False)
+        counters = tracer.counters()
+        assert counters.get("engine.serial_memo_misses", 0) == 0
+        assert counters["engine.serial_memo_hits"] > 0

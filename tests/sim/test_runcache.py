@@ -248,6 +248,22 @@ class TestCacheStore:
         assert cache.get(spec) is None
 
 
+class TestArchFingerprintMemo:
+    def test_memo_is_capped(self, monkeypatch):
+        # Every hand-built Architecture is a new identity-keyed entry;
+        # the cap keeps the memo from pinning them all.
+        from repro.sim import runcache
+
+        monkeypatch.setattr(runcache, "_ARCH_FP_CACHE", {})
+        monkeypatch.setattr(runcache, "_ARCH_FP_CACHE_MAX", 3)
+        keys = set()
+        for _ in range(7):
+            keys.add(run_cache_key(make_spec(system=SystemSpec(power7(), 1))))
+            assert len(runcache._ARCH_FP_CACHE) <= 3
+        # Rebuilt but identical machines still share one content key.
+        assert len(keys) == 1
+
+
 class TestEnvironmentSwitches:
     def test_enabled_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_RUNCACHE", raising=False)

@@ -8,10 +8,13 @@ SMT levels, thread counts and chip counts; and degenerate single-row
 tables where no lockstep amortization exists at all.
 """
 
+import numpy as np
 import pytest
 
 from repro.arch import nehalem, power7
 from repro.check.differential import REL_TOL, compare_runs
+from repro.experiments.runner import resolve_system
+from repro.obs import configure
 from repro.sim.engine import RunSpec, simulate_run
 from repro.sim.table import ScenarioTable, simulate_many_columnar
 from repro.simos import SystemSpec
@@ -95,6 +98,63 @@ class TestRoundTrip:
         for spec, got in zip(specs, results):
             assert got.n_threads == spec.resolved_threads()
         assert_equivalent(specs, results)
+
+
+class TestHoistedPerTableWork:
+    """Placement, serial rates and time accounting run once per table.
+
+    ``p7`` and ``p7x2`` resolve to one registry ``Architecture``, so a
+    batch mixing them lowers into a single table whose placement memo
+    must tell one- and two-chip layouts apart; streams repeat across
+    levels (one serial-rate lookup serves several runs) and noisy runs
+    sit beside noise-free ones.
+    """
+
+    def _mixed_specs(self):
+        system_1 = resolve_system("p7")
+        system_2 = resolve_system("p7x2")
+        assert system_1.arch is system_2.arch
+        workloads = all_workloads()
+        specs = []
+        for i, name in enumerate(("EP", "SSCA2", "SPECjbb_contention", "IS")):
+            workload = workloads[name]
+            for system in (system_1, system_2):
+                for level in (1, 2, 4):
+                    for noise_rel in (0.0, 0.01, 0.05):
+                        specs.append(RunSpec(
+                            system=system, smt_level=level,
+                            stream=workload.stream, sync=workload.sync,
+                            seed=i + 3, noise_rel=noise_rel))
+                # Same (level, threads) on both chip counts: only the
+                # chip count tells the two placements apart.
+                specs.append(RunSpec(system=system, smt_level=4,
+                                     stream=workload.stream, sync=workload.sync,
+                                     n_threads=5, seed=i))
+        return specs
+
+    def test_mixed_chip_counts_share_one_table_and_match_serial(self):
+        specs = self._mixed_specs()
+        tracer = configure(enabled=True)
+        tracer.reset()
+        try:
+            results = simulate_many_columnar(specs)
+            counters = tracer.counters()
+        finally:
+            configure(enabled=False)
+            tracer.reset()
+        assert counters["table.tables"] == 1
+        for spec, got in zip(specs, results):
+            assert got.n_chips == spec.system.n_chips
+        assert_equivalent(specs, results)
+
+    def test_run_subsets_match_whole_table(self):
+        specs = self._mixed_specs()
+        table = ScenarioTable(specs)
+        whole = table.run()
+        subset = np.arange(len(specs))[::3]
+        part = table.finalize(table.drive(subset), subset)
+        for i, got in zip(subset, part):
+            assert compare_runs(whole[i], got, rel_tol=0.0) == []
 
 
 class TestScenarioTable:

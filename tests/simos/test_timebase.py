@@ -1,10 +1,11 @@
 """Tests for wall/CPU time accounting."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.simos.sync import NO_SYNC, SyncProfile
-from repro.simos.timebase import TimeAccounting, account_run
+from repro.simos.timebase import TimeAccounting, account_run, account_runs
 
 
 class TestTimeAccountingValidation:
@@ -70,3 +71,52 @@ class TestAccountRun:
     def test_rejects_nonpositive_work(self):
         with pytest.raises(ValueError):
             account_run(0.0, 1e9, 1e9, NO_SYNC, 4)
+
+
+class TestAccountRuns:
+    """The array form agrees with :func:`account_run` bit for bit."""
+
+    @given(st.lists(
+        st.tuples(
+            st.floats(min_value=1e6, max_value=1e12),
+            st.floats(min_value=1e6, max_value=1e11),
+            st.floats(min_value=1e6, max_value=1e10),
+            st.floats(min_value=0.0, max_value=0.9),
+            st.floats(min_value=0.0, max_value=1.0),
+            st.integers(min_value=1, max_value=64),
+        ),
+        min_size=1, max_size=8,
+    ))
+    def test_matches_scalar_exactly(self, runs):
+        syncs = [SyncProfile(serial_fraction=s, block_coeff=b)
+                 for _, _, _, s, b, _ in runs]
+        ns = [n for *_, n in runs]
+        arrays = account_runs(
+            useful_instructions=np.array([r[0] for r in runs]),
+            parallel_useful_rate=np.array([r[1] for r in runs]),
+            serial_rate=np.array([r[2] for r in runs]),
+            serial_fraction=np.array([s.serial_fraction for s in syncs]),
+            runnable=np.array([s.runnable_fraction(n) for s, n in zip(syncs, ns)]),
+            n_threads=np.array(ns),
+        )
+        for i, (work, rate, serial_rate, *_rest) in enumerate(runs):
+            t = account_run(work, rate, serial_rate, syncs[i], ns[i])
+            got = tuple(float(a[i]) for a in arrays)
+            assert got == (t.wall_time_s, t.serial_time_s,
+                           t.parallel_time_s, t.total_cpu_s)
+
+    @pytest.mark.parametrize("field", ["useful_instructions",
+                                       "parallel_useful_rate", "serial_rate"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan")])
+    def test_rejects_what_the_scalar_rejects(self, field, bad):
+        kwargs = dict(
+            useful_instructions=np.array([1e9, 1e9]),
+            parallel_useful_rate=np.array([1e9, 1e9]),
+            serial_rate=np.array([1e8, 1e8]),
+            serial_fraction=np.zeros(2),
+            runnable=np.ones(2),
+            n_threads=np.array([4, 4]),
+        )
+        kwargs[field] = np.array([1e9, bad])
+        with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
+            account_runs(**kwargs)
